@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::oracle::Oracle;
 use crate::report::{Attack, AttackDetails, AttackOutcome, AttackReport};
-use crate::sat_attack::{SatAttack, SatAttackConfig, Step};
+use crate::sat_attack::{key_matches, SatAttack, SatAttackConfig, Step};
 use crate::Result;
 
 /// Configuration of an AppSAT run.
@@ -217,11 +217,7 @@ impl Attack for AppSatConfig {
     ) -> Result<AttackReport> {
         let mut engine = SatAttack::new(locked, oracle, self.base)?;
         engine.set_checkpoint_label("appsat");
-        if resume && checkpoint.exists() {
-            let snapshot = crate::checkpoint::AttackCheckpoint::load(checkpoint)?;
-            engine.restore(&snapshot)?;
-        }
-        engine.set_checkpoint(checkpoint);
+        engine.checkpoint_to(checkpoint, resume)?;
         envelope(&mut engine, locked, oracle, *self)
     }
 }
@@ -289,21 +285,7 @@ fn probe_error(
     for _ in 0..samples {
         let x: Vec<bool> = (0..width).map(|_| rng.gen_bool(0.5)).collect();
         let want = oracle.query(&x);
-        let matches = if cyclic {
-            locked
-                .eval_cyclic(&x, key)
-                .map(|e| {
-                    e.all_outputs_known()
-                        && e.outputs
-                            .iter()
-                            .zip(&want)
-                            .all(|(t, w)| t.to_bool() == Some(*w))
-                })
-                .unwrap_or(false)
-        } else {
-            locked.eval(&x, key).map(|got| got == want).unwrap_or(false)
-        };
-        if !matches {
+        if !key_matches(locked, cyclic, key, &x, &want) {
             wrong += 1;
             if mismatches.len() < 8 {
                 mismatches.push((x, want));

@@ -111,7 +111,10 @@ fn edge_condition(
 /// locked netlist is cyclic.
 pub fn add_no_cycle_clauses(locked: &LockedCircuit, cnf: &mut Cnf, key_vars: &[Var]) -> usize {
     let netlist = &locked.netlist;
-    let feedback: HashSet<(SignalId, usize)> = topo::feedback_edges(netlist).into_iter().collect();
+    // Clauses follow the DFS order of the edge list, so every process
+    // builds the same formula; the set only answers membership.
+    let feedback_order = topo::feedback_edges(netlist);
+    let feedback: HashSet<(SignalId, usize)> = feedback_order.iter().copied().collect();
     if feedback.is_empty() {
         return 0;
     }
@@ -159,7 +162,7 @@ pub fn add_no_cycle_clauses(locked: &LockedCircuit, cnf: &mut Cnf, key_vars: &[V
         "feedback removal must break all cycles"
     );
 
-    for &(head, head_slot) in &feedback {
+    for &(head, head_slot) in &feedback_order {
         let tail = netlist.node(head).fanins()[head_slot];
         // Path condition from `head` (the gate the feedback edge enters)
         // forward to `tail` (the wire that would close the loop).
@@ -280,6 +283,22 @@ mod tests {
             }
         }
         assert!(excluded > 0, "NC clauses excluded no random key");
+    }
+
+    #[test]
+    fn clause_order_is_reproducible() {
+        let (_, locked) = cyclic_locked();
+        let build = || {
+            let mut cnf = Cnf::new();
+            let key_vars: Vec<Var> = locked.key_inputs.iter().map(|_| cnf.new_var()).collect();
+            add_no_cycle_clauses(&locked, &mut cnf, &key_vars);
+            cnf
+        };
+        let first = build();
+        assert!(first.num_clauses() > 0);
+        for _ in 0..4 {
+            assert_eq!(build().clauses(), first.clauses());
+        }
     }
 
     #[test]

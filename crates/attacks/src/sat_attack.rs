@@ -10,6 +10,11 @@
 //! remaining keys and any key satisfying the accumulated constraints is
 //! functionally correct.
 //!
+//! The same engine runs Double DIP: the miter is one of two shapes over
+//! a list of key copies, each phase of the loop is switched on by its own
+//! activation literal, and every shape shares the I/O ledger, the
+//! observation encoder, checkpointing, and healing.
+//!
 //! The instrumentation mirrors what the paper reports: iteration counts
 //! (Tables 2 and 4), wall-clock time with a timeout, and the
 //! clause/variable ratio of the growing formula (Fig 7).
@@ -118,6 +123,29 @@ pub enum Step {
     Budget,
 }
 
+/// The miter the engine builds. The attack that drives the engine picks
+/// it; it is not a configuration knob.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MiterShape {
+    /// Two key copies whose outputs differ: one phase (the SAT attack and
+    /// AppSAT).
+    Plain,
+    /// Four key copies in two phases (Double DIP). Phase 1 finds 2-DIPs:
+    /// outputs agree within the pairs (0, 1) and (2, 3), differ across
+    /// them, and the keys within each pair differ. Phase 2 (clean-up)
+    /// finds plain DIPs: copies 0 and 2 differ.
+    DoubleDip,
+}
+
+impl MiterShape {
+    fn key_copies(self) -> usize {
+        match self {
+            MiterShape::Plain => 2,
+            MiterShape::DoubleDip => 4,
+        }
+    }
+}
+
 /// The incremental SAT-attack engine. [`Attack::run`] on
 /// [`SatAttackConfig`] is the one-call version; instantiate this
 /// directly to drive the loop yourself (AppSAT does).
@@ -136,13 +164,19 @@ pub struct SatAttack<'a> {
     /// full-copy encoding.
     encoder: Option<CircuitEncoder<'a>>,
     transferred: usize,
+    shape: MiterShape,
     x_vars: Vec<Var>,
-    k1_vars: Vec<Var>,
-    k2_vars: Vec<Var>,
-    act: Lit,
+    /// One key-variable vector per key copy of the miter.
+    key_vars: Vec<Vec<Var>>,
+    /// One activation literal per phase; the miter constraints of a phase
+    /// hold only while its literal is assumed.
+    phases: Vec<Lit>,
+    /// Index of the current phase in `phases`.
+    phase: usize,
     start: Instant,
     deadline: Option<Instant>,
-    iterations: u64,
+    /// Completed DIPs per phase.
+    phase_dips: Vec<u64>,
     ratio_sum: f64,
     ratio_samples: u64,
     /// Every asserted I/O pair, in order — the semantic state a checkpoint
@@ -189,7 +223,7 @@ pub struct SatAttack<'a> {
 impl std::fmt::Debug for SatAttack<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SatAttack")
-            .field("iterations", &self.iterations)
+            .field("iterations", &self.iterations())
             .field("formula_vars", &self.cnf.num_vars())
             .field("formula_clauses", &self.cnf.num_clauses())
             .finish_non_exhaustive()
@@ -198,28 +232,32 @@ impl std::fmt::Debug for SatAttack<'_> {
 
 /// The part of the engine state that [`SatAttack::rebuild_solver`]
 /// replaces wholesale: the base formula (miter + CycSAT constraints),
-/// the cone encoder, the interface variables, the activation literal,
-/// and a fresh backend with the interface frozen.
+/// the cone encoder, the interface variables, the phase literals, and a
+/// fresh backend with the interface frozen.
 struct EngineBase<'a> {
     cnf: Cnf,
     encoder: Option<CircuitEncoder<'a>>,
     x_vars: Vec<Var>,
-    k1_vars: Vec<Var>,
-    k2_vars: Vec<Var>,
-    act: Lit,
+    key_vars: Vec<Vec<Var>>,
+    phases: Vec<Lit>,
     solver: Box<dyn SolveBackend>,
 }
 
 impl<'a> SatAttack<'a> {
     /// Builds the base formula and solver shared by [`new`](Self::new)
-    /// and [`rebuild_solver`](Self::rebuild_solver): miter construction
-    /// plus (for cyclic locked netlists) CycSAT no-cycle constraints on
-    /// both key copies.
-    fn build_base(locked: &'a LockedCircuit, config: &SatAttackConfig) -> EngineBase<'a> {
+    /// and [`rebuild_solver`](Self::rebuild_solver): the miter of the
+    /// given shape plus (for cyclic locked netlists) CycSAT no-cycle
+    /// constraints on every key copy.
+    fn build_base(
+        locked: &'a LockedCircuit,
+        config: &SatAttackConfig,
+        shape: MiterShape,
+    ) -> EngineBase<'a> {
         let mut cnf = Cnf::new();
         let x_vars: Vec<Var> = locked.data_inputs.iter().map(|_| cnf.new_var()).collect();
-        let k1_vars: Vec<Var> = locked.key_inputs.iter().map(|_| cnf.new_var()).collect();
-        let k2_vars: Vec<Var> = locked.key_inputs.iter().map(|_| cnf.new_var()).collect();
+        let key_vars: Vec<Vec<Var>> = (0..shape.key_copies())
+            .map(|_| locked.key_inputs.iter().map(|_| cnf.new_var()).collect())
+            .collect();
         let needs_cycsat = config.force_cycsat || topo::is_cyclic(&locked.netlist);
         let encoder = if needs_cycsat {
             None
@@ -227,53 +265,61 @@ impl<'a> SatAttack<'a> {
             CircuitEncoder::new(locked, config.encode_style)
         };
 
-        // Miter: OR over per-output XORs, gated by the activation literal
-        // so key extraction can switch the miter off with an assumption.
-        let diff_lits = if let Some(enc) = &encoder {
-            let out1 = enc.encode_copy(&mut cnf, &x_vars, &k1_vars);
-            let out2 = enc.encode_copy(&mut cnf, &x_vars, &k2_vars);
-            miter_diff_lits(&mut cnf, &out1, &out2)
-        } else {
-            let copy1 = encode_locked(locked, &mut cnf, &x_vars, &k1_vars);
-            let copy2 = encode_locked(locked, &mut cnf, &x_vars, &k2_vars);
-            let mut diff_lits = Vec::with_capacity(copy1.output_vars.len());
-            for (&a, &b) in copy1.output_vars.iter().zip(&copy2.output_vars) {
-                let d = cnf.new_var();
-                fulllock_sat::tseytin::encode_gate(
-                    &mut cnf,
-                    fulllock_netlist::GateKind::Xor,
-                    d,
-                    &[a, b],
-                );
-                diff_lits.push(Lit::positive(d));
+        let outs: Vec<Vec<SigVal>> = key_vars
+            .iter()
+            .map(|kv| match &encoder {
+                Some(enc) => enc.encode_copy(&mut cnf, &x_vars, kv),
+                None => lits_of(&encode_locked(locked, &mut cnf, &x_vars, kv).output_vars),
+            })
+            .collect();
+        // Each phase's miter constraints are gated by its activation
+        // literal, so key extraction can switch them all off with
+        // assumptions.
+        let phases = match shape {
+            MiterShape::Plain => {
+                let diff = miter_diff_lits(&mut cnf, &outs[0], &outs[1]);
+                vec![gated_or(&mut cnf, diff)]
             }
-            diff_lits
+            MiterShape::DoubleDip => {
+                let cross = miter_diff_lits(&mut cnf, &outs[0], &outs[2]);
+                let double = Lit::positive(cnf.new_var());
+                for (a, b) in [(0, 1), (2, 3)] {
+                    for d in miter_diff_lits(&mut cnf, &outs[a], &outs[b]) {
+                        cnf.add_clause([!double, !d]);
+                    }
+                    // Without key disequality a pair could be one key
+                    // twice, and the pair elimination would remove one key.
+                    let keys = [lits_of(&key_vars[a]), lits_of(&key_vars[b])];
+                    let keys_differ = miter_diff_lits(&mut cnf, &keys[0], &keys[1]);
+                    cnf.add_clause(std::iter::once(!double).chain(keys_differ));
+                }
+                cnf.add_clause(std::iter::once(!double).chain(cross.iter().copied()));
+                vec![double, gated_or(&mut cnf, cross)]
+            }
         };
-        let act = Lit::positive(cnf.new_var());
-        let mut miter_clause = vec![!act];
-        miter_clause.extend(diff_lits);
-        cnf.add_clause(miter_clause);
 
         if needs_cycsat {
-            cycsat::add_no_cycle_clauses(locked, &mut cnf, &k1_vars);
-            cycsat::add_no_cycle_clauses(locked, &mut cnf, &k2_vars);
+            for kv in &key_vars {
+                cycsat::add_no_cycle_clauses(locked, &mut cnf, kv);
+            }
         }
 
         // The interface variables stay live across every incremental
         // solve: freeze them so inprocessing never eliminates them.
         let mut solver = config.backend.create_certified(config.certify);
-        for &v in x_vars.iter().chain(&k1_vars).chain(&k2_vars) {
+        for &v in x_vars.iter().chain(key_vars.iter().flatten()) {
             solver.freeze_var(v);
         }
-        solver.freeze_var(act.var());
+        for act in &phases {
+            solver.freeze_var(act.var());
+        }
 
         EngineBase {
             cnf,
             encoder,
             x_vars,
-            k1_vars,
-            k2_vars,
-            act,
+            key_vars,
+            phases,
             solver,
         }
     }
@@ -290,13 +336,24 @@ impl<'a> SatAttack<'a> {
         oracle: &'a dyn Oracle,
         config: SatAttackConfig,
     ) -> Result<SatAttack<'a>> {
+        SatAttack::with_shape(locked, oracle, config, MiterShape::Plain)
+    }
+
+    /// Builds the engine over a miter of the given shape (see
+    /// [`new`](Self::new)).
+    pub(crate) fn with_shape(
+        locked: &'a LockedCircuit,
+        oracle: &'a dyn Oracle,
+        config: SatAttackConfig,
+        shape: MiterShape,
+    ) -> Result<SatAttack<'a>> {
         if oracle.num_inputs() != locked.data_inputs.len() {
             return Err(AttackError::InterfaceMismatch {
                 locked_inputs: locked.data_inputs.len(),
                 oracle_inputs: oracle.num_inputs(),
             });
         }
-        let base = Self::build_base(locked, &config);
+        let base = Self::build_base(locked, &config, shape);
 
         let start = Instant::now();
         let mut attack = SatAttack {
@@ -308,13 +365,14 @@ impl<'a> SatAttack<'a> {
             cnf: base.cnf,
             encoder: base.encoder,
             transferred: 0,
+            shape,
             x_vars: base.x_vars,
-            k1_vars: base.k1_vars,
-            k2_vars: base.k2_vars,
-            act: base.act,
+            key_vars: base.key_vars,
+            phase_dips: vec![0; base.phases.len()],
+            phases: base.phases,
+            phase: 0,
             start,
             deadline: config.timeout.map(|t| start + t),
-            iterations: 0,
             ratio_sum: 0.0,
             ratio_samples: 0,
             io_log: Vec::new(),
@@ -337,28 +395,23 @@ impl<'a> SatAttack<'a> {
         Ok(attack)
     }
 
-    /// Builds the engine and restores a previously saved checkpoint: the
-    /// recorded I/O pairs are re-asserted (re-deriving the constraint
-    /// formula without a single oracle query) and the iteration counters
-    /// and cumulative instrumentation pick up where the snapshot left
-    /// off. The engine keeps checkpointing to the same path.
+    /// Checkpoints to `path` from now on. When `resume` is set and the
+    /// file exists, its snapshot is restored first: the recorded I/O
+    /// pairs are re-asserted (re-deriving the constraint formula without a
+    /// single oracle query) and the counters, loop phase, and cumulative
+    /// instrumentation pick up where the snapshot left off. A missing file
+    /// starts fresh, so restart scripts can always pass `--resume`.
     ///
     /// # Errors
     ///
-    /// Everything [`new`](Self::new) returns, plus
     /// [`AttackError::CheckpointIo`] / [`AttackError::CheckpointFormat`]
     /// for an unreadable or incompatible checkpoint file.
-    pub fn resume(
-        locked: &'a LockedCircuit,
-        oracle: &'a dyn Oracle,
-        config: SatAttackConfig,
-        path: &Path,
-    ) -> Result<SatAttack<'a>> {
-        let snapshot = AttackCheckpoint::load(path)?;
-        let mut engine = SatAttack::new(locked, oracle, config)?;
-        engine.restore(&snapshot)?;
-        engine.set_checkpoint(path);
-        Ok(engine)
+    pub(crate) fn checkpoint_to(&mut self, path: &Path, resume: bool) -> Result<()> {
+        if resume && path.exists() {
+            self.restore(&AttackCheckpoint::load(path)?)?;
+        }
+        self.set_checkpoint(path);
+        Ok(())
     }
 
     /// Enables crash-safe checkpointing: after every completed DIP a
@@ -379,7 +432,7 @@ impl<'a> SatAttack<'a> {
     /// Restores a loaded snapshot into this (fresh) engine. Validates the
     /// attack name and interface widths, replays the recorded I/O pairs
     /// through [`assert_io`](Self::assert_io) (no oracle queries), and
-    /// adopts the snapshot's counters.
+    /// adopts the snapshot's counters and loop phase.
     ///
     /// # Errors
     ///
@@ -394,21 +447,32 @@ impl<'a> SatAttack<'a> {
         for pair in &snapshot.io_pairs {
             self.assert_pair(pair.clone());
         }
-        self.iterations = snapshot.iterations;
+        // Multi-phase shapes record phases from 1; single-phase loops
+        // record 0.
+        self.phase = (snapshot.phase.saturating_sub(1) as usize).min(self.phases.len() - 1);
+        self.phase_dips[0] = snapshot.iterations;
+        if let Some(cleanup) = self.phase_dips.get_mut(1) {
+            *cleanup = snapshot.cleanup_iterations;
+        }
         self.ratio_sum = snapshot.ratio_sum;
         self.ratio_samples = snapshot.ratio_samples;
         self.prior_elapsed = snapshot.elapsed;
         self.prior_oracle_queries = snapshot.oracle_queries;
         self.prior_solver = snapshot.solver;
         self.candidate_key = snapshot.candidate_key.clone();
-        self.resumed_from = Some(snapshot.iterations);
+        self.resumed_from = Some(self.iterations());
         Ok(())
     }
 
-    /// Completed DIP iterations so far (including iterations restored from
-    /// a checkpoint).
+    /// Completed DIP iterations so far, over every phase (including
+    /// iterations restored from a checkpoint).
     pub fn iterations(&self) -> u64 {
-        self.iterations
+        self.phase_dips.iter().sum()
+    }
+
+    /// Completed DIP iterations per phase of the miter shape.
+    pub(crate) fn phase_iterations(&self) -> &[u64] {
+        &self.phase_dips
     }
 
     /// Elapsed wall-clock time, including time restored from a checkpoint.
@@ -447,7 +511,11 @@ impl<'a> SatAttack<'a> {
             self.locked.data_inputs.len(),
             self.locked.key_inputs.len(),
         );
-        cp.iterations = self.iterations;
+        if self.phases.len() > 1 {
+            cp.phase = self.phase as u64 + 1;
+            cp.cleanup_iterations = self.phase_dips[1];
+        }
+        cp.iterations = self.phase_dips[0];
         cp.candidate_key = self.candidate_key.clone();
         cp.ratio_sum = self.ratio_sum;
         cp.ratio_samples = self.ratio_samples;
@@ -515,7 +583,7 @@ impl<'a> SatAttack<'a> {
             }
         }
         if let Some(max) = self.config.max_iterations {
-            if self.iterations >= max {
+            if self.iterations() >= max {
                 return true;
             }
         }
@@ -537,7 +605,11 @@ impl<'a> SatAttack<'a> {
 
     /// Runs one DIP iteration: search, oracle query, constraint assertion.
     /// The oracle query goes through the resilient layer (retry, rate
-    /// limit, majority vote per the configured policy).
+    /// limit, majority vote per the configured policy). The search runs
+    /// under the current phase's literal; when a phase runs out of DIPs
+    /// the loop moves to the next one (and checkpoints the move, so a
+    /// resume never falls back), and only the last phase running out is
+    /// [`Step::NoMoreDips`].
     ///
     /// # Errors
     ///
@@ -548,10 +620,18 @@ impl<'a> SatAttack<'a> {
         if self.out_of_budget() {
             return Ok(Step::Budget);
         }
-        match self.solver.solve_limited(&[self.act], self.limits()) {
+        match self
+            .solver
+            .solve_limited(&[self.phases[self.phase]], self.limits())
+        {
             SolveResult::Unknown => {
                 self.note_certify_failure();
                 Ok(Step::Budget)
+            }
+            SolveResult::Unsat if self.phase + 1 < self.phases.len() => {
+                self.phase += 1;
+                self.checkpoint_now();
+                self.step()
             }
             SolveResult::Unsat => Ok(Step::NoMoreDips),
             SolveResult::Sat => {
@@ -567,7 +647,7 @@ impl<'a> SatAttack<'a> {
                 let mut pair = IoPair::new(dip.clone(), response);
                 pair.votes = u64::from(votes);
                 self.assert_pair(pair);
-                self.iterations += 1;
+                self.phase_dips[self.phase] += 1;
                 self.ratio_sum += self.cnf.clause_to_variable_ratio();
                 self.ratio_samples += 1;
                 self.checkpoint_now();
@@ -576,14 +656,14 @@ impl<'a> SatAttack<'a> {
         }
     }
 
-    /// Asserts an observed I/O pair for both key copies (also used by
+    /// Asserts an observed I/O pair for every key copy (also used by
     /// AppSAT for its random-query reinforcement). Every pair is recorded
     /// in the checkpoint I/O log.
     ///
     /// On acyclic netlists (with [`SatAttackConfig::cone_reduce`] on, the
     /// default) the known inputs are constant-propagated and only the
-    /// key-dependent fanin cone is encoded; otherwise two full circuit
-    /// copies are appended as in the original attack.
+    /// key-dependent fanin cone is encoded; otherwise one full circuit
+    /// copy per key copy is appended as in the original attack.
     pub fn assert_io(&mut self, inputs: &[bool], outputs: &[bool]) {
         self.assert_pair(IoPair::new(inputs.to_vec(), outputs.to_vec()));
     }
@@ -600,43 +680,17 @@ impl<'a> SatAttack<'a> {
             self.io_log.push(pair);
             return;
         }
-        {
-            let SatAttack {
-                locked,
-                cnf,
-                encoder,
-                k1_vars,
-                k2_vars,
-                config,
-                ..
-            } = self;
-            let inputs = &pair.inputs;
-            let outputs = &pair.outputs;
-            let cone = config.cone_reduce && encoder.is_some();
-            if cone {
-                let enc = encoder.as_ref().expect("cone implies encoder");
-                for key_vars in [&*k1_vars, &*k2_vars] {
-                    enc.encode_observation(cnf, inputs, outputs, key_vars);
-                }
-            } else {
-                for key_vars in [&*k1_vars, &*k2_vars] {
-                    let data_vars: Vec<Var> = inputs.iter().map(|_| cnf.new_var()).collect();
-                    let enc = encode_locked(locked, cnf, &data_vars, key_vars);
-                    for (slot, &v) in data_vars.iter().enumerate() {
-                        cnf.add_clause([Lit::with_polarity(v, inputs[slot])]);
-                    }
-                    for (o, &v) in enc.output_vars.iter().enumerate() {
-                        cnf.add_clause([Lit::with_polarity(v, outputs[o])]);
-                    }
-                }
-            }
+        let cone = self.encoder.as_ref().filter(|_| self.config.cone_reduce);
+        for key_vars in &self.key_vars {
+            encode_observation(self.locked, cone, &mut self.cnf, &pair, key_vars);
         }
         self.io_log.push(pair);
         self.transfer_clauses();
     }
 
     /// Extracts a key consistent with every constraint asserted so far
-    /// (the miter is switched off via the activation literal). Returns
+    /// (the miter is switched off by assuming every phase literal false),
+    /// read from the first key copy. Returns
     /// `None` if the budget ran out or the constraints are unsatisfiable.
     ///
     /// # Errors
@@ -651,13 +705,14 @@ impl<'a> SatAttack<'a> {
     /// the self-healing loop can tell a genuine UNSAT (inconsistent
     /// constraints — an oracle lied) from a budget-induced Unknown.
     fn solve_key(&mut self) -> Result<(SolveResult, Option<Key>)> {
-        let result = self.solver.solve_limited(&[!self.act], self.limits());
+        let miter_off: Vec<Lit> = self.phases.iter().map(|&act| !act).collect();
+        let result = self.solver.solve_limited(&miter_off, self.limits());
         match result {
             SolveResult::Sat => {
-                let mut bits = Vec::with_capacity(self.k1_vars.len());
-                for i in 0..self.k1_vars.len() {
-                    bits.push(self.model_bit(self.k1_vars[i])?);
-                }
+                let bits: Vec<bool> = self.key_vars[0]
+                    .iter()
+                    .map(|&v| self.model_bit(v))
+                    .collect::<Result<_>>()?;
                 Ok((result, Some(Key::from_bits(bits))))
             }
             _ => {
@@ -694,13 +749,12 @@ impl<'a> SatAttack<'a> {
         self.prior_solver.merge(&self.solver.stats());
         self.prior_worker_failures
             .extend(self.solver.worker_failures());
-        let base = Self::build_base(self.locked, &self.config);
+        let base = Self::build_base(self.locked, &self.config, self.shape);
         self.cnf = base.cnf;
         self.encoder = base.encoder;
         self.x_vars = base.x_vars;
-        self.k1_vars = base.k1_vars;
-        self.k2_vars = base.k2_vars;
-        self.act = base.act;
+        self.key_vars = base.key_vars;
+        self.phases = base.phases;
         self.solver = base.solver;
         self.transferred = 0;
         self.transfer_clauses();
@@ -734,7 +788,7 @@ impl<'a> SatAttack<'a> {
         if needs_cycsat {
             cycsat::add_no_cycle_clauses(self.locked, &mut cnf, &k_vars);
         }
-        let cone = self.config.cone_reduce && self.encoder.is_some();
+        let cone = self.encoder.as_ref().filter(|_| self.config.cone_reduce);
         let mut gated: Vec<(usize, Lit)> = Vec::new();
         for (i, pair) in self.io_log.iter().enumerate() {
             if pair.quarantined {
@@ -742,19 +796,7 @@ impl<'a> SatAttack<'a> {
             }
             let sel = Lit::positive(cnf.new_var());
             let start = cnf.num_clauses();
-            if cone {
-                let enc = self.encoder.as_ref().expect("cone implies encoder");
-                enc.encode_observation(&mut cnf, &pair.inputs, &pair.outputs, &k_vars);
-            } else {
-                let data_vars: Vec<Var> = pair.inputs.iter().map(|_| cnf.new_var()).collect();
-                let enc = encode_locked(self.locked, &mut cnf, &data_vars, &k_vars);
-                for (slot, &v) in data_vars.iter().enumerate() {
-                    cnf.add_clause([Lit::with_polarity(v, pair.inputs[slot])]);
-                }
-                for (o, &v) in enc.output_vars.iter().enumerate() {
-                    cnf.add_clause([Lit::with_polarity(v, pair.outputs[o])]);
-                }
-            }
+            encode_observation(self.locked, cone, &mut cnf, pair, &k_vars);
             cnf.gate_clauses_from(start, !sel);
             gated.push((i, sel));
         }
@@ -838,36 +880,14 @@ impl<'a> SatAttack<'a> {
         samples: usize,
         seed: u64,
     ) -> Result<Option<(Vec<bool>, Vec<bool>)>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let width = self.locked.data_inputs.len();
         let cyclic = topo::is_cyclic(&self.locked.netlist);
-        let mut patterns: Vec<Vec<bool>> = vec![vec![false; width], vec![true; width]];
-        patterns.extend((0..samples).map(|_| (0..width).map(|_| rng.gen_bool(0.5)).collect()));
-        for x in patterns {
+        for x in verification_patterns(self.locked.data_inputs.len(), samples, seed) {
             let want = if self.config.resilience.guard {
                 self.requery(&x)?.0
             } else {
                 self.oracle.query(&x)
             };
-            let ok = if cyclic {
-                match self.locked.eval_cyclic(&x, key) {
-                    Ok(eval) => {
-                        eval.all_outputs_known()
-                            && eval
-                                .outputs
-                                .iter()
-                                .zip(&want)
-                                .all(|(t, w)| t.to_bool() == Some(*w))
-                    }
-                    Err(_) => false,
-                }
-            } else {
-                self.locked
-                    .eval(&x, key)
-                    .map(|got| got == want)
-                    .unwrap_or(false)
-            };
-            if !ok {
+            if !key_matches(self.locked, cyclic, key, &x, &want) {
                 return Ok(Some((x, want)));
             }
         }
@@ -892,36 +912,10 @@ impl<'a> SatAttack<'a> {
     /// (plus the all-zeros / all-ones corners). For cyclic locked netlists
     /// the outputs must settle *and* match.
     pub fn verify_key(&self, key: &Key, samples: usize, seed: u64) -> bool {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let width = self.locked.data_inputs.len();
         let cyclic = topo::is_cyclic(&self.locked.netlist);
-        let mut patterns: Vec<Vec<bool>> = vec![vec![false; width], vec![true; width]];
-        patterns.extend((0..samples).map(|_| (0..width).map(|_| rng.gen_bool(0.5)).collect()));
-        for x in patterns {
-            let want = self.oracle.query(&x);
-            let ok = if cyclic {
-                match self.locked.eval_cyclic(&x, key) {
-                    Ok(eval) => {
-                        eval.all_outputs_known()
-                            && eval
-                                .outputs
-                                .iter()
-                                .zip(&want)
-                                .all(|(t, w)| t.to_bool() == Some(*w))
-                    }
-                    Err(_) => false,
-                }
-            } else {
-                self.locked
-                    .eval(&x, key)
-                    .map(|got| got == want)
-                    .unwrap_or(false)
-            };
-            if !ok {
-                return false;
-            }
-        }
-        true
+        verification_patterns(self.locked.data_inputs.len(), samples, seed)
+            .into_iter()
+            .all(|x| key_matches(self.locked, cyclic, key, &x, &self.oracle.query(&x)))
     }
 
     /// Lifetime SAT-solver counters (merged across portfolio workers when
@@ -939,7 +933,7 @@ impl<'a> SatAttack<'a> {
     /// of trusting a poisoned ledger: a recovered key that fails
     /// verification triggers a trusted re-query reinforcement, and an
     /// UNSAT key space triggers assumption-core suspect extraction and
-    /// quarantine ([`heal_unsat`](Self::heal_unsat)) — the run continues
+    /// quarantine (`heal_unsat`) — the run continues
     /// on the surviving constraints rather than silently reporting a
     /// wrong key or a spurious [`AttackOutcome::Inconclusive`].
     ///
@@ -1012,7 +1006,7 @@ impl<'a> SatAttack<'a> {
                     if self
                         .config
                         .max_iterations
-                        .is_some_and(|m| self.iterations >= m)
+                        .is_some_and(|m| self.iterations() >= m)
                     {
                         break AttackOutcome::IterationLimit;
                     }
@@ -1027,7 +1021,7 @@ impl<'a> SatAttack<'a> {
     pub fn report(&self, outcome: AttackOutcome) -> SatAttackReport {
         SatAttackReport {
             outcome,
-            iterations: self.iterations,
+            iterations: self.iterations(),
             elapsed: self.elapsed(),
             oracle_queries: self.oracle_queries(),
             mean_clause_var_ratio: if self.ratio_samples == 0 {
@@ -1048,7 +1042,7 @@ impl Attack for SatAttackConfig {
 
     fn run(&self, locked: &LockedCircuit, oracle: &dyn Oracle) -> Result<AttackReport> {
         let mut engine = SatAttack::new(locked, oracle, *self)?;
-        envelope(&mut engine)
+        envelope(&mut engine, "sat", |_, report| AttackDetails::Sat(report))
     }
 
     fn run_checkpointed(
@@ -1058,25 +1052,25 @@ impl Attack for SatAttackConfig {
         checkpoint: &Path,
         resume: bool,
     ) -> Result<AttackReport> {
-        let mut engine = if resume && checkpoint.exists() {
-            SatAttack::resume(locked, oracle, *self, checkpoint)?
-        } else {
-            let mut engine = SatAttack::new(locked, oracle, *self)?;
-            engine.set_checkpoint(checkpoint);
-            engine
-        };
-        envelope(&mut engine)
+        let mut engine = SatAttack::new(locked, oracle, *self)?;
+        engine.checkpoint_to(checkpoint, resume)?;
+        envelope(&mut engine, "sat", |_, report| AttackDetails::Sat(report))
     }
 }
 
 /// Runs the engine's DIP loop and folds the result into the common
-/// envelope, capturing the fault-tolerance record and certifying any
-/// recovered key with independent simulation + formal equivalence.
+/// envelope under the attack's name, capturing the fault-tolerance record
+/// and certifying any recovered key with independent simulation + formal
+/// equivalence. `details` builds the attack-specific report.
 ///
 /// A certification failure on any solve aborts with
 /// [`AttackError::Certification`] — an uncertified answer never becomes
 /// a report.
-fn envelope(engine: &mut SatAttack<'_>) -> Result<AttackReport> {
+pub(crate) fn envelope(
+    engine: &mut SatAttack<'_>,
+    attack: &'static str,
+    details: impl FnOnce(&SatAttack<'_>, SatAttackReport) -> AttackDetails,
+) -> Result<AttackReport> {
     let report = engine.run()?;
     if let Some(failure) = engine.certify_failure() {
         return Err(AttackError::Certification(failure.clone()));
@@ -1092,7 +1086,7 @@ fn envelope(engine: &mut SatAttack<'_>) -> Result<AttackReport> {
         _ => None,
     };
     Ok(AttackReport {
-        attack: "sat",
+        attack,
         outcome: report.outcome.clone(),
         iterations: report.iterations,
         elapsed: report.elapsed,
@@ -1100,8 +1094,77 @@ fn envelope(engine: &mut SatAttack<'_>) -> Result<AttackReport> {
         solver: report.solver,
         resilience: engine.resilience(),
         key_certificate,
-        details: AttackDetails::Sat(report),
+        details: details(engine, report),
     })
+}
+
+/// Encodes one observed I/O pair over one key copy: through the cone
+/// encoder when given one, else as a full circuit copy with the inputs
+/// and outputs pinned by unit clauses (cyclic netlists, or cone
+/// reduction off).
+fn encode_observation(
+    locked: &LockedCircuit,
+    cone: Option<&CircuitEncoder<'_>>,
+    cnf: &mut Cnf,
+    pair: &IoPair,
+    key_vars: &[Var],
+) {
+    if let Some(enc) = cone {
+        enc.encode_observation(cnf, &pair.inputs, &pair.outputs, key_vars);
+        return;
+    }
+    let data_vars: Vec<Var> = pair.inputs.iter().map(|_| cnf.new_var()).collect();
+    let enc = encode_locked(locked, cnf, &data_vars, key_vars);
+    for (&v, &bit) in data_vars.iter().zip(&pair.inputs) {
+        cnf.add_clause([Lit::with_polarity(v, bit)]);
+    }
+    for (&v, &bit) in enc.output_vars.iter().zip(&pair.outputs) {
+        cnf.add_clause([Lit::with_polarity(v, bit)]);
+    }
+}
+
+/// The verification stimuli: the all-zeros and all-ones corners, then
+/// `samples` random patterns drawn from `seed`.
+fn verification_patterns(width: usize, samples: usize, seed: u64) -> Vec<Vec<bool>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut patterns: Vec<Vec<bool>> = vec![vec![false; width], vec![true; width]];
+    patterns.extend((0..samples).map(|_| (0..width).map(|_| rng.gen_bool(0.5)).collect()));
+    patterns
+}
+
+/// Whether the locked circuit under `key` answers `want` on `x`. On a
+/// cyclic netlist every output must also settle.
+pub(crate) fn key_matches(
+    locked: &LockedCircuit,
+    cyclic: bool,
+    key: &Key,
+    x: &[bool],
+    want: &[bool],
+) -> bool {
+    if !cyclic {
+        return locked.eval(x, key).is_ok_and(|got| got == want);
+    }
+    locked.eval_cyclic(x, key).is_ok_and(|eval| {
+        eval.all_outputs_known()
+            && eval
+                .outputs
+                .iter()
+                .zip(want)
+                .all(|(t, w)| t.to_bool() == Some(*w))
+    })
+}
+
+/// Wraps plain variables as literal-valued signals, for
+/// [`miter_diff_lits`].
+fn lits_of(vars: &[Var]) -> Vec<SigVal> {
+    vars.iter().map(|&v| SigVal::L(Lit::positive(v))).collect()
+}
+
+/// A fresh activation literal `act` with the clause `act → ∨ lits`.
+fn gated_or(cnf: &mut Cnf, lits: Vec<Lit>) -> Lit {
+    let act = Lit::positive(cnf.new_var());
+    cnf.add_clause(std::iter::once(!act).chain(lits));
+    act
 }
 
 /// Builds the miter difference literals from two output encodings

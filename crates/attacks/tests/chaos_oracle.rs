@@ -22,7 +22,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use fulllock_attacks::{
-    Attack, AttackCheckpoint, AttackOutcome, Oracle, SatAttackConfig, SimOracle,
+    Attack, AttackCheckpoint, AttackOutcome, DoubleDip, Oracle, SatAttackConfig, SimOracle,
 };
 use fulllock_locking::{
     FullLock, FullLockConfig, Key, LockedCircuit, LockingScheme, PlrSpec, SarLock, WireSelection,
@@ -103,58 +103,65 @@ fn two_percent_flip_plan() -> FaultPlan {
 /// that flips an output bit on ~2% of queries. The unguarded loop would
 /// accumulate poisoned constraints and return a wrong key or a spurious
 /// UNSAT; the resilient loop must quarantine the poison, recover the
-/// exact key, and stay within a bounded query-inflation factor.
+/// exact key, and stay within a bounded query-inflation factor. The SAT
+/// attack and Double DIP run on the same engine and must both heal.
 #[test]
 fn flipped_responses_are_quarantined_and_the_exact_key_recovered() {
     let _guard = chaos_lock();
     let original = host(42);
     let locked = cln_locked(&original);
 
-    // Clean baseline for the inflation bound (empty plan shadows any
-    // ambient FULLLOCK_FAILPOINTS row).
-    faults::install(FaultPlan::new());
-    let clean_oracle = SimOracle::new(&original).expect("oracle");
-    let baseline = SatAttackConfig::default()
-        .run(&locked, &clean_oracle)
-        .expect("clean attack");
-    assert!(baseline.outcome.is_broken(), "{:?}", baseline.outcome);
+    let attacks: [&dyn Attack; 2] = [&SatAttackConfig::default(), &DoubleDip::default()];
+    for attack in attacks {
+        // Clean baseline for the inflation bound (empty plan shadows any
+        // ambient FULLLOCK_FAILPOINTS row).
+        faults::install(FaultPlan::new());
+        let clean_oracle = SimOracle::new(&original).expect("oracle");
+        let baseline = attack.run(&locked, &clean_oracle).expect("clean attack");
+        assert!(baseline.outcome.is_broken(), "{:?}", baseline.outcome);
 
-    faults::install(two_percent_flip_plan());
-    let noisy_oracle = SimOracle::new(&original).expect("oracle");
-    let report = SatAttackConfig::default()
-        .run(&locked, &noisy_oracle)
-        .expect("resilient attack");
-    faults::clear();
+        faults::install(two_percent_flip_plan());
+        let noisy_oracle = SimOracle::new(&original).expect("oracle");
+        let report = attack
+            .run(&locked, &noisy_oracle)
+            .expect("resilient attack");
+        faults::clear();
 
-    let AttackOutcome::KeyRecovered { key, verified } = &report.outcome else {
-        panic!(
-            "the resilient loop must still break the lock, got {:?}",
-            report.outcome
+        let name = attack.name();
+        let AttackOutcome::KeyRecovered { key, verified } = &report.outcome else {
+            panic!(
+                "{name}: the resilient loop must still break the lock, got {:?}",
+                report.outcome
+            );
+        };
+        assert!(
+            verified,
+            "{name}: the recovered key must pass trusted verification"
         );
-    };
-    assert!(verified, "the recovered key must pass trusted verification");
-    assert_key_correct(&original, &locked, key);
-    // The healing machinery must have actually fired: suspects were
-    // re-queried and at least one poisoned pair was quarantined.
-    assert!(
-        report.resilience.oracle_requeries > 0,
-        "no suspect re-queries recorded: {:?}",
-        report.resilience
-    );
-    assert!(
-        report.resilience.quarantined_pairs > 0,
-        "no pair quarantined: {:?}",
-        report.resilience
-    );
-    assert!(report.resilience.is_eventful());
-    // Healing buys correctness with extra queries, but the inflation must
-    // stay bounded — re-querying is per-suspect, not per-constraint.
-    assert!(
-        report.oracle_queries <= 8 * baseline.oracle_queries + 64,
-        "query inflation out of bounds: {} noisy vs {} clean",
-        report.oracle_queries,
-        baseline.oracle_queries
-    );
+        assert_key_correct(&original, &locked, key);
+        // The healing machinery must have actually fired: suspects were
+        // re-queried and at least one poisoned pair was quarantined.
+        assert!(
+            report.resilience.oracle_requeries > 0,
+            "{name}: no suspect re-queries recorded: {:?}",
+            report.resilience
+        );
+        assert!(
+            report.resilience.quarantined_pairs > 0,
+            "{name}: no pair quarantined: {:?}",
+            report.resilience
+        );
+        assert!(report.resilience.is_eventful());
+        // Healing buys correctness with extra queries, but the inflation
+        // must stay bounded — re-querying is per-suspect, not
+        // per-constraint.
+        assert!(
+            report.oracle_queries <= 8 * baseline.oracle_queries + 64,
+            "{name}: query inflation out of bounds: {} noisy vs {} clean",
+            report.oracle_queries,
+            baseline.oracle_queries
+        );
+    }
 }
 
 /// The persistence half of the threat model: a run is killed after a

@@ -4,7 +4,7 @@
 //! attack must recover equivalent keys whichever encoding path it takes.
 
 use fulllock_attacks::{
-    Attack, AttackOutcome, CircuitEncoder, EncodeStyle, SatAttackConfig, SimOracle,
+    Attack, AttackOutcome, CircuitEncoder, DoubleDip, EncodeStyle, SatAttackConfig, SimOracle,
 };
 use fulllock_locking::{
     FullLock, FullLockConfig, Key, LockedCircuit, LockingScheme, LutLock, PlrSpec, Rll,
@@ -87,10 +87,10 @@ fn sampled_keys(locked: &LockedCircuit, samples: usize, seed: u64) -> Vec<Vec<bo
 fn assert_breaks(
     original: &Netlist,
     locked: &LockedCircuit,
-    config: SatAttackConfig,
+    attack: &dyn Attack,
 ) -> Result<Key, TestCaseError> {
     let oracle = SimOracle::new(original).expect("acyclic");
-    let report = config.run(locked, &oracle).expect("interfaces");
+    let report = attack.run(locked, &oracle).expect("interfaces");
     let AttackOutcome::KeyRecovered { key, verified } = report.outcome else {
         return Err(TestCaseError::fail("scheme must fall"));
     };
@@ -159,9 +159,9 @@ proptest! {
         check_observation_cone(&locked, EncodeStyle::Structured, &inputs, keys.into_iter())?;
     }
 
-    /// The attack recovers a functionally correct key whichever encoding
-    /// path it takes: legacy full copies, Generic cones, or Structured
-    /// cones.
+    /// The attack, and Double DIP on the same engine, recover a
+    /// functionally correct key whichever encoding path they take: legacy
+    /// full copies, Generic cones, or Structured cones.
     #[test]
     fn attack_succeeds_under_every_encoding_path(
         host_seed in any::<u64>(),
@@ -175,11 +175,13 @@ proptest! {
             (true, EncodeStyle::Generic),
             (true, EncodeStyle::Structured),
         ] {
-            assert_breaks(&original, &locked, SatAttackConfig {
+            let base = SatAttackConfig {
                 cone_reduce,
                 encode_style,
                 ..Default::default()
-            })?;
+            };
+            assert_breaks(&original, &locked, &base)?;
+            assert_breaks(&original, &locked, &DoubleDip { base })?;
         }
     }
 }
