@@ -125,42 +125,8 @@ pub fn add_no_cycle_clauses(locked: &LockedCircuit, cnf: &mut Cnf, key_vars: &[V
         .map(|(slot, &sig)| (sig, slot))
         .collect();
 
-    // DAG adjacency (fan-out direction) with feedback edges removed:
-    // dag_out[i] = (gate, slot) pairs reading signal i.
-    let mut dag_out: Vec<Vec<(SignalId, usize)>> = vec![Vec::new(); netlist.len()];
-    for g in netlist.signals() {
-        for (slot, &f) in netlist.node(g).fanins().iter().enumerate() {
-            if !feedback.contains(&(g, slot)) {
-                dag_out[f.index()].push((g, slot));
-            }
-        }
-    }
-    // Topological order of the DAG (Kahn over the filtered edges).
-    let mut indegree = vec![0usize; netlist.len()];
-    for outs in &dag_out {
-        for &(g, _) in outs {
-            indegree[g.index()] += 1;
-        }
-    }
-    let mut ready: Vec<SignalId> = netlist
-        .signals()
-        .filter(|s| indegree[s.index()] == 0)
-        .collect();
-    let mut order = Vec::with_capacity(netlist.len());
-    while let Some(s) = ready.pop() {
-        order.push(s);
-        for &(g, _) in &dag_out[s.index()] {
-            indegree[g.index()] -= 1;
-            if indegree[g.index()] == 0 {
-                ready.push(g);
-            }
-        }
-    }
-    debug_assert_eq!(
-        order.len(),
-        netlist.len(),
-        "feedback removal must break all cycles"
-    );
+    let order = topo::topo_order_cut(netlist, &feedback_order)
+        .expect("removing the feedback edges breaks every cycle");
 
     for &(head, head_slot) in &feedback_order {
         let tail = netlist.node(head).fanins()[head_slot];

@@ -3,11 +3,11 @@
 //! Two encoders live here:
 //!
 //! * [`encode_locked`] — the generic Tseytin encoding (one variable per
-//!   signal, Table 1 clauses per gate), used for miters over cyclic
-//!   netlists and as the reference implementation the property tests
-//!   compare against;
+//!   signal, Table 1 clauses per gate): the reference implementation the
+//!   property tests compare against, and the full-copy observation
+//!   encoding of the `cone_reduce: false` baseline;
 //! * [`CircuitEncoder`] — the cone-reduced, structure-aware encoder the
-//!   DIP loop uses on acyclic netlists. It constant-propagates known
+//!   DIP loop uses on every netlist. It constant-propagates known
 //!   inputs, aliases single-input gates to (possibly negated) existing
 //!   literals instead of allocating variables, and (under
 //!   [`EncodeStyle::Structured`]) flattens single-fanout MUX trees into
@@ -15,6 +15,15 @@
 //!   outside the key-dependent fanin cone of an observed I/O pair fold to
 //!   constants and contribute **zero** clauses — collapsing per-iteration
 //!   formula growth from two full circuit copies to the key cone.
+//!
+//! Cyclic netlists (Full-Lock's cyclic insertion mode) are walked in the
+//! order left by cutting their [`feedback_edges`](topo::feedback_edges).
+//! A fan-in read through a cut edge sees a fresh placeholder literal for
+//! the edge's tail, and after the walk each placeholder is tied back to
+//! its tail's value. The result is the full Tseytin copy with signals
+//! substituted, so for every key it is satisfiable exactly when
+//! [`encode_locked`]'s copy is; CycSAT's no-cycle clauses are added
+//! separately, over the key variables only.
 
 use fulllock_locking::LockedCircuit;
 use fulllock_netlist::{topo, GateKind, SignalId};
@@ -176,15 +185,22 @@ const MAX_TREE_DEPTH: usize = 6;
 const MAX_REDUNDANT_LEAVES: usize = 8;
 
 /// The cone-reduced, structure-aware encoder (see the module docs).
-/// Built once per attack — the topological order, fanout census, interface
-/// map, deferral flags, and swap-pair table are all input-independent —
-/// then replayed cheaply for every miter copy and observed I/O pair.
+/// Built once per attack — the (cut) topological order, fanout census,
+/// interface map, deferral flags, and swap-pair table are all
+/// input-independent — then replayed cheaply for every miter copy and
+/// observed I/O pair.
 #[derive(Debug)]
 pub struct CircuitEncoder<'a> {
     locked: &'a LockedCircuit,
     imap: InterfaceMap,
-    /// Gates in topological order.
+    /// Gates in topological order once the feedback edges are cut.
     order: Vec<SignalId>,
+    /// Cut feedback edges `(gate, fan-in slot)`, sorted, each with the
+    /// index of its tail in `cut_tails`. Empty for acyclic netlists.
+    cut: Vec<((SignalId, usize), usize)>,
+    /// The distinct tails of the cut edges. Tail `i`'s placeholder lives
+    /// at index `netlist.len() + i` of a walk's value table.
+    cut_tails: Vec<SignalId>,
     style: EncodeStyle,
     /// Per signal: this MUX's clauses are deferred and flattened into its
     /// unique consuming MUX tree (only honored under `Structured`).
@@ -195,16 +211,38 @@ pub struct CircuitEncoder<'a> {
 }
 
 impl<'a> CircuitEncoder<'a> {
-    /// Analyses `locked` for encoding. Returns `None` for cyclic netlists
-    /// (callers fall back to [`encode_locked`] plus CycSAT clauses).
+    /// Analyses `locked` for encoding, cutting the feedback edges of a
+    /// cyclic netlist (see the module docs). Returns `None` only if the
+    /// cut leaves a cycle, which [`topo::feedback_edges`] rules out.
     pub fn new(locked: &'a LockedCircuit, style: EncodeStyle) -> Option<CircuitEncoder<'a>> {
         let netlist = &locked.netlist;
-        let order: Vec<SignalId> = topo::topo_order(netlist)
+        let feedback = topo::feedback_edges(netlist);
+        let order: Vec<SignalId> = topo::topo_order_cut(netlist, &feedback)
             .ok()?
             .into_iter()
             .filter(|&s| netlist.node(s).gate_kind().is_some())
             .collect();
         let n = netlist.len();
+        let mut cut_tails: Vec<SignalId> = Vec::new();
+        let mut cut: Vec<((SignalId, usize), usize)> = feedback
+            .into_iter()
+            .map(|(gate, slot)| {
+                let tail = netlist.node(gate).fanins()[slot];
+                let i = cut_tails
+                    .iter()
+                    .position(|&t| t == tail)
+                    .unwrap_or_else(|| {
+                        cut_tails.push(tail);
+                        cut_tails.len() - 1
+                    });
+                ((gate, slot), i)
+            })
+            .collect();
+        cut.sort_unstable();
+        let mut is_tail = vec![false; n];
+        for t in &cut_tails {
+            is_tail[t.index()] = true;
+        }
         // Fanout census with unique-consumer tracking.
         let mut fanout = vec![0u32; n];
         let mut consumer: Vec<Option<(SignalId, usize)>> = vec![None; n];
@@ -246,13 +284,15 @@ impl<'a> CircuitEncoder<'a> {
         }
         // Deferral: a MUX consumed exactly once, as the data input of
         // another MUX, melts into that consumer's flattened tree. Swap-pair
-        // members stay materialized so their linking clauses apply.
+        // members stay materialized so their linking clauses apply, and cut
+        // tails so their placeholders can be tied back.
         let mut defer = vec![false; n];
         for &g in &order {
             let node = netlist.node(g);
             if node.gate_kind() != Some(GateKind::Mux)
                 || fanout[g.index()] != 1
                 || in_pair[g.index()]
+                || is_tail[g.index()]
             {
                 continue;
             }
@@ -266,6 +306,8 @@ impl<'a> CircuitEncoder<'a> {
             locked,
             imap: InterfaceMap::new(locked),
             order,
+            cut,
+            cut_tails,
             style,
             defer,
             swap_pairs,
@@ -329,13 +371,27 @@ impl<'a> CircuitEncoder<'a> {
             .collect()
     }
 
-    /// The shared forward pass: bind inputs, walk gates topologically,
-    /// then link swap pairs.
+    /// Where the fan-in `slot` of gate `g` is read from in a walk's value
+    /// table: the fan-in signal itself, or the placeholder of its tail
+    /// when the edge is cut.
+    fn source(&self, g: SignalId, slot: usize) -> usize {
+        if !self.cut.is_empty() {
+            if let Ok(i) = self.cut.binary_search_by_key(&(g, slot), |&(edge, _)| edge) {
+                return self.locked.netlist.len() + self.cut[i].1;
+            }
+        }
+        self.locked.netlist.node(g).fanins()[slot].index()
+    }
+
+    /// The shared forward pass: bind inputs and placeholders, walk gates
+    /// in the cut order, tie each placeholder to its tail, then link swap
+    /// pairs. The returned table holds the signals, then the placeholders.
     fn run(&self, cnf: &mut Cnf, data: &[DataBinding], key_vars: &[Var]) -> Vec<Option<SigVal>> {
         assert_eq!(data.len(), self.locked.data_inputs.len(), "data width");
         assert_eq!(key_vars.len(), self.locked.key_inputs.len(), "key width");
         let netlist = &self.locked.netlist;
-        let mut vals: Vec<Option<SigVal>> = vec![None; netlist.len()];
+        let n = netlist.len();
+        let mut vals: Vec<Option<SigVal>> = vec![None; n + self.cut_tails.len()];
         for (&sig, role) in netlist.inputs().iter().zip(&self.imap.roles) {
             vals[sig.index()] = Some(match role {
                 InputRole::Data(slot) => match data[*slot] {
@@ -346,6 +402,14 @@ impl<'a> CircuitEncoder<'a> {
                 InputRole::Free => SigVal::L(Lit::positive(cnf.new_var())),
             });
         }
+        let placeholders: Vec<Lit> = self
+            .cut_tails
+            .iter()
+            .map(|_| Lit::positive(cnf.new_var()))
+            .collect();
+        for (val, &p) in vals[n..].iter_mut().zip(&placeholders) {
+            *val = Some(SigVal::L(p));
+        }
         let structured = self.style == EncodeStyle::Structured;
         for &g in &self.order {
             if vals[g.index()].is_some() || (structured && self.defer[g.index()]) {
@@ -353,6 +417,13 @@ impl<'a> CircuitEncoder<'a> {
             }
             let val = self.emit_gate(g, cnf, &mut vals);
             vals[g.index()] = Some(val);
+        }
+        for (tail, &p) in self.cut_tails.iter().zip(&placeholders) {
+            match vals[tail.index()].expect("cut tails are never deferred") {
+                SigVal::Const(c) => tseytin::assert_lit(cnf, if c { p } else { !p }),
+                SigVal::L(l) if l == p => {}
+                SigVal::L(l) => tseytin::assert_equal(cnf, p, l),
+            }
         }
         if structured {
             for &(m1, m2) in &self.swap_pairs {
@@ -392,10 +463,8 @@ impl<'a> CircuitEncoder<'a> {
         if kind == GateKind::Mux {
             return self.emit_mux_root(g, cnf, vals);
         }
-        let ins: Vec<SigVal> = node
-            .fanins()
-            .iter()
-            .map(|f| vals[f.index()].expect("non-MUX fanins are never deferred"))
+        let ins: Vec<SigVal> = (0..node.fanins().len())
+            .map(|slot| vals[self.source(g, slot)].expect("non-MUX fanins are never deferred"))
             .collect();
         match kind {
             GateKind::Const0 => SigVal::Const(false),
@@ -472,45 +541,48 @@ impl<'a> CircuitEncoder<'a> {
         path: &mut Vec<Lit>,
         leaves: &mut Vec<(Vec<Lit>, SigVal)>,
     ) {
-        let fanins = self.locked.netlist.node(g).fanins();
-        let (s, a, b) = (fanins[0], fanins[1], fanins[2]);
-        let select = vals[s.index()].expect("selects are never deferred");
+        let select = vals[self.source(g, 0)].expect("selects are never deferred");
         match select {
             // S = 1 selects B (Table 1's C = A·S̄ + B·S).
             SigVal::Const(c) => {
-                self.descend(if c { b } else { a }, cnf, vals, path, leaves);
+                self.descend(g, if c { 2 } else { 1 }, cnf, vals, path, leaves);
             }
             SigVal::L(ls) => {
                 path.push(!ls);
-                self.descend(a, cnf, vals, path, leaves);
+                self.descend(g, 1, cnf, vals, path, leaves);
                 path.pop();
                 path.push(ls);
-                self.descend(b, cnf, vals, path, leaves);
+                self.descend(g, 2, cnf, vals, path, leaves);
                 path.pop();
             }
         }
     }
 
+    /// Follows data fan-in `slot` of the tree MUX `g`: flattens a deferred
+    /// child into the tree, else records the child's value as a leaf.
     fn descend(
         &self,
-        child: SignalId,
+        g: SignalId,
+        slot: usize,
         cnf: &mut Cnf,
         vals: &mut Vec<Option<SigVal>>,
         path: &mut Vec<Lit>,
         leaves: &mut Vec<(Vec<Lit>, SigVal)>,
     ) {
-        if vals[child.index()].is_none() && path.len() < MAX_TREE_DEPTH {
+        let src = self.source(g, slot);
+        let child = self.locked.netlist.node(g).fanins()[slot];
+        if vals[src].is_none() && path.len() < MAX_TREE_DEPTH {
             // A deferred MUX with room left in the tree: keep flattening.
             self.collect_leaves(child, cnf, vals, path, leaves);
             return;
         }
-        let val = match vals[child.index()] {
+        let val = match vals[src] {
             Some(v) => v,
             None => {
                 // Deferred but the tree is full: materialize the child as
                 // its own (sub-)root.
                 let v = self.emit_mux_root(child, cnf, vals);
-                vals[child.index()] = Some(v);
+                vals[src] = Some(v);
                 v
             }
         };

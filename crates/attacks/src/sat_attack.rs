@@ -46,9 +46,6 @@ pub struct SatAttackConfig {
     pub timeout: Option<Duration>,
     /// Iteration budget; `None` is unlimited.
     pub max_iterations: Option<u64>,
-    /// Add CycSAT no-structural-cycle clauses even for acyclic netlists
-    /// (they are generated automatically whenever the netlist is cyclic).
-    pub force_cycsat: bool,
     /// Which SAT engine answers the miter queries: one sequential solver
     /// or a racing portfolio.
     pub backend: BackendSpec,
@@ -59,9 +56,10 @@ pub struct SatAttackConfig {
     pub certify: CertifyLevel,
     /// Encode observed I/O pairs by constant-propagating the known DIP
     /// inputs and asserting only the key-dependent fanin cone, instead of
-    /// appending two full circuit copies per iteration. Only applies to
-    /// acyclic locked netlists (cyclic ones keep the full-copy + CycSAT
-    /// path).
+    /// appending one full circuit copy per key copy and iteration. Cyclic
+    /// locked netlists get the cone too, walked with their feedback edges
+    /// cut (see [`CircuitEncoder`]); `false` is the legacy full-copy
+    /// baseline.
     pub cone_reduce: bool,
     /// Clause shapes the encoder emits (see [`EncodeStyle`]).
     pub encode_style: EncodeStyle,
@@ -82,7 +80,6 @@ impl Default for SatAttackConfig {
         SatAttackConfig {
             timeout: None,
             max_iterations: None,
-            force_cycsat: false,
             backend: BackendSpec::default(),
             certify: CertifyLevel::from_env(),
             cone_reduce: true,
@@ -159,10 +156,12 @@ pub struct SatAttack<'a> {
     config: SatAttackConfig,
     solver: Box<dyn SolveBackend>,
     cnf: Cnf,
-    /// The cone-reduced structure-aware encoder; `None` for cyclic
-    /// netlists (and under `force_cycsat`), which keep the legacy
-    /// full-copy encoding.
-    encoder: Option<CircuitEncoder<'a>>,
+    /// The cone-reduced structure-aware encoder of the miter copies and
+    /// (with [`SatAttackConfig::cone_reduce`]) the observed pairs.
+    encoder: CircuitEncoder<'a>,
+    /// Whether the locked netlist has a combinational cycle: its keys get
+    /// CycSAT no-cycle clauses and must make every output settle.
+    cyclic: bool,
     transferred: usize,
     shape: MiterShape,
     x_vars: Vec<Var>,
@@ -232,11 +231,10 @@ impl std::fmt::Debug for SatAttack<'_> {
 
 /// The part of the engine state that [`SatAttack::rebuild_solver`]
 /// replaces wholesale: the base formula (miter + CycSAT constraints),
-/// the cone encoder, the interface variables, the phase literals, and a
-/// fresh backend with the interface frozen.
-struct EngineBase<'a> {
+/// the interface variables, the phase literals, and a fresh backend with
+/// the interface frozen.
+struct EngineBase {
     cnf: Cnf,
-    encoder: Option<CircuitEncoder<'a>>,
     x_vars: Vec<Var>,
     key_vars: Vec<Vec<Var>>,
     phases: Vec<Lit>,
@@ -249,28 +247,20 @@ impl<'a> SatAttack<'a> {
     /// given shape plus (for cyclic locked netlists) CycSAT no-cycle
     /// constraints on every key copy.
     fn build_base(
-        locked: &'a LockedCircuit,
+        locked: &LockedCircuit,
+        encoder: &CircuitEncoder<'_>,
+        cyclic: bool,
         config: &SatAttackConfig,
         shape: MiterShape,
-    ) -> EngineBase<'a> {
+    ) -> EngineBase {
         let mut cnf = Cnf::new();
         let x_vars: Vec<Var> = locked.data_inputs.iter().map(|_| cnf.new_var()).collect();
         let key_vars: Vec<Vec<Var>> = (0..shape.key_copies())
             .map(|_| locked.key_inputs.iter().map(|_| cnf.new_var()).collect())
             .collect();
-        let needs_cycsat = config.force_cycsat || topo::is_cyclic(&locked.netlist);
-        let encoder = if needs_cycsat {
-            None
-        } else {
-            CircuitEncoder::new(locked, config.encode_style)
-        };
-
         let outs: Vec<Vec<SigVal>> = key_vars
             .iter()
-            .map(|kv| match &encoder {
-                Some(enc) => enc.encode_copy(&mut cnf, &x_vars, kv),
-                None => lits_of(&encode_locked(locked, &mut cnf, &x_vars, kv).output_vars),
-            })
+            .map(|kv| encoder.encode_copy(&mut cnf, &x_vars, kv))
             .collect();
         // Each phase's miter constraints are gated by its activation
         // literal, so key extraction can switch them all off with
@@ -298,7 +288,7 @@ impl<'a> SatAttack<'a> {
             }
         };
 
-        if needs_cycsat {
+        if cyclic {
             for kv in &key_vars {
                 cycsat::add_no_cycle_clauses(locked, &mut cnf, kv);
             }
@@ -316,7 +306,6 @@ impl<'a> SatAttack<'a> {
 
         EngineBase {
             cnf,
-            encoder,
             x_vars,
             key_vars,
             phases,
@@ -353,7 +342,10 @@ impl<'a> SatAttack<'a> {
                 oracle_inputs: oracle.num_inputs(),
             });
         }
-        let base = Self::build_base(locked, &config, shape);
+        let encoder = CircuitEncoder::new(locked, config.encode_style)
+            .expect("cutting the feedback edges orders every netlist");
+        let cyclic = topo::is_cyclic(&locked.netlist);
+        let base = Self::build_base(locked, &encoder, cyclic, &config, shape);
 
         let start = Instant::now();
         let mut attack = SatAttack {
@@ -363,7 +355,8 @@ impl<'a> SatAttack<'a> {
             config,
             solver: base.solver,
             cnf: base.cnf,
-            encoder: base.encoder,
+            encoder,
+            cyclic,
             transferred: 0,
             shape,
             x_vars: base.x_vars,
@@ -660,10 +653,10 @@ impl<'a> SatAttack<'a> {
     /// AppSAT for its random-query reinforcement). Every pair is recorded
     /// in the checkpoint I/O log.
     ///
-    /// On acyclic netlists (with [`SatAttackConfig::cone_reduce`] on, the
-    /// default) the known inputs are constant-propagated and only the
-    /// key-dependent fanin cone is encoded; otherwise one full circuit
-    /// copy per key copy is appended as in the original attack.
+    /// With [`SatAttackConfig::cone_reduce`] on (the default) the known
+    /// inputs are constant-propagated and only the key-dependent fanin
+    /// cone is encoded, on cyclic netlists too; otherwise one full
+    /// circuit copy per key copy is appended as in the original attack.
     pub fn assert_io(&mut self, inputs: &[bool], outputs: &[bool]) {
         self.assert_pair(IoPair::new(inputs.to_vec(), outputs.to_vec()));
     }
@@ -680,7 +673,7 @@ impl<'a> SatAttack<'a> {
             self.io_log.push(pair);
             return;
         }
-        let cone = self.encoder.as_ref().filter(|_| self.config.cone_reduce);
+        let cone = Some(&self.encoder).filter(|_| self.config.cone_reduce);
         for key_vars in &self.key_vars {
             encode_observation(self.locked, cone, &mut self.cnf, &pair, key_vars);
         }
@@ -749,9 +742,14 @@ impl<'a> SatAttack<'a> {
         self.prior_solver.merge(&self.solver.stats());
         self.prior_worker_failures
             .extend(self.solver.worker_failures());
-        let base = Self::build_base(self.locked, &self.config, self.shape);
+        let base = Self::build_base(
+            self.locked,
+            &self.encoder,
+            self.cyclic,
+            &self.config,
+            self.shape,
+        );
         self.cnf = base.cnf;
-        self.encoder = base.encoder;
         self.x_vars = base.x_vars;
         self.key_vars = base.key_vars;
         self.phases = base.phases;
@@ -784,11 +782,10 @@ impl<'a> SatAttack<'a> {
             .iter()
             .map(|_| cnf.new_var())
             .collect();
-        let needs_cycsat = self.config.force_cycsat || topo::is_cyclic(&self.locked.netlist);
-        if needs_cycsat {
+        if self.cyclic {
             cycsat::add_no_cycle_clauses(self.locked, &mut cnf, &k_vars);
         }
-        let cone = self.encoder.as_ref().filter(|_| self.config.cone_reduce);
+        let cone = Some(&self.encoder).filter(|_| self.config.cone_reduce);
         let mut gated: Vec<(usize, Lit)> = Vec::new();
         for (i, pair) in self.io_log.iter().enumerate() {
             if pair.quarantined {
@@ -880,14 +877,13 @@ impl<'a> SatAttack<'a> {
         samples: usize,
         seed: u64,
     ) -> Result<Option<(Vec<bool>, Vec<bool>)>> {
-        let cyclic = topo::is_cyclic(&self.locked.netlist);
         for x in verification_patterns(self.locked.data_inputs.len(), samples, seed) {
             let want = if self.config.resilience.guard {
                 self.requery(&x)?.0
             } else {
                 self.oracle.query(&x)
             };
-            if !key_matches(self.locked, cyclic, key, &x, &want) {
+            if !key_matches(self.locked, self.cyclic, key, &x, &want) {
                 return Ok(Some((x, want)));
             }
         }
@@ -912,10 +908,9 @@ impl<'a> SatAttack<'a> {
     /// (plus the all-zeros / all-ones corners). For cyclic locked netlists
     /// the outputs must settle *and* match.
     pub fn verify_key(&self, key: &Key, samples: usize, seed: u64) -> bool {
-        let cyclic = topo::is_cyclic(&self.locked.netlist);
         verification_patterns(self.locked.data_inputs.len(), samples, seed)
             .into_iter()
-            .all(|x| key_matches(self.locked, cyclic, key, &x, &self.oracle.query(&x)))
+            .all(|x| key_matches(self.locked, self.cyclic, key, &x, &self.oracle.query(&x)))
     }
 
     /// Lifetime SAT-solver counters (merged across portfolio workers when
@@ -1100,8 +1095,7 @@ pub(crate) fn envelope(
 
 /// Encodes one observed I/O pair over one key copy: through the cone
 /// encoder when given one, else as a full circuit copy with the inputs
-/// and outputs pinned by unit clauses (cyclic netlists, or cone
-/// reduction off).
+/// and outputs pinned by unit clauses (cone reduction off).
 fn encode_observation(
     locked: &LockedCircuit,
     cone: Option<&CircuitEncoder<'_>>,
@@ -1316,6 +1310,51 @@ mod tests {
             }
             other => panic!("expected key recovery, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn cyclic_fulllock_falls_through_the_cut_edge_cone() {
+        // The cone and the full-copy baseline must both recover a key that
+        // settles every loop; the cone must do it with a smaller formula.
+        let original = host(150, 3);
+        let config = FullLockConfig {
+            plrs: vec![PlrSpec::new(4)],
+            selection: WireSelection::Cyclic,
+            twist_probability: 0.5,
+            seed: 4,
+        };
+        let locked = FullLock::new(config).lock(&original).unwrap();
+        assert!(topo::is_cyclic(&locked.netlist));
+        let oracle = SimOracle::new(&original).unwrap();
+        let clauses = [true, false].map(|cone_reduce| {
+            let report = run_sat(
+                &locked,
+                &oracle,
+                SatAttackConfig {
+                    cone_reduce,
+                    ..Default::default()
+                },
+            );
+            let AttackOutcome::KeyRecovered { key, verified } = report.outcome else {
+                panic!("cyclic 4x4 Full-Lock must fall, got {:?}", report.outcome);
+            };
+            assert!(verified);
+            let sim = Simulator::new(&original).unwrap();
+            let mut rng = StdRng::seed_from_u64(21);
+            for _ in 0..32 {
+                let x: Vec<bool> = (0..original.inputs().len())
+                    .map(|_| rng.gen_bool(0.5))
+                    .collect();
+                assert!(key_matches(&locked, true, &key, &x, &sim.run(&x).unwrap()));
+            }
+            report.formula.1 / report.iterations.max(1) as usize
+        });
+        assert!(
+            clauses[0] < clauses[1],
+            "cone {} vs full-copy {} clauses per DIP",
+            clauses[0],
+            clauses[1]
+        );
     }
 
     #[test]

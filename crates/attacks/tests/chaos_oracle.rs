@@ -28,7 +28,7 @@ use fulllock_locking::{
     FullLock, FullLockConfig, Key, LockedCircuit, LockingScheme, PlrSpec, SarLock, WireSelection,
 };
 use fulllock_netlist::random::{generate, RandomCircuitConfig};
-use fulllock_netlist::{Netlist, Simulator};
+use fulllock_netlist::{topo, Netlist, Simulator};
 use fulllock_sat::faults::{self, site, Failpoint, FaultAction, FaultPlan};
 
 /// Serializes tests that install a global fault plan.
@@ -52,11 +52,15 @@ fn host(seed: u64) -> Netlist {
 
 /// Locks the host with a 4x4 configurable logic-and-routing network.
 fn cln_locked(original: &Netlist) -> LockedCircuit {
+    fulllock_4x4(original, WireSelection::Acyclic, 9)
+}
+
+fn fulllock_4x4(original: &Netlist, selection: WireSelection, seed: u64) -> LockedCircuit {
     FullLock::new(FullLockConfig {
         plrs: vec![PlrSpec::new(4)],
-        selection: WireSelection::Acyclic,
+        selection,
         twist_probability: 0.5,
-        seed: 9,
+        seed,
     })
     .lock(original)
     .expect("lock")
@@ -64,8 +68,9 @@ fn cln_locked(original: &Netlist) -> LockedCircuit {
 
 /// The recovered key must restore the oracle's function exactly — checked
 /// by exhaustive-ish random simulation, independently of the attack's own
-/// verification.
+/// verification. On a cyclic lock every output must also settle.
 fn assert_key_correct(original: &Netlist, locked: &LockedCircuit, key: &Key) {
+    let cyclic = topo::is_cyclic(&locked.netlist);
     let sim = Simulator::new(original).expect("simulator");
     let width = locked.data_inputs.len();
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -79,7 +84,19 @@ fn assert_key_correct(original: &Netlist, locked: &LockedCircuit, key: &Key) {
             })
             .collect();
         let want = sim.run(&x).expect("oracle sim");
-        let got = locked.eval(&x, key).expect("unlock eval");
+        let got = if cyclic {
+            let eval = locked.eval_cyclic(&x, key).expect("unlock eval");
+            assert!(
+                eval.all_outputs_known(),
+                "recovered key leaves a loop floating"
+            );
+            eval.outputs
+                .iter()
+                .map(|t| t.to_bool().expect("settled"))
+                .collect()
+        } else {
+            locked.eval(&x, key).expect("unlock eval")
+        };
         assert_eq!(got, want, "recovered key diverges from the oracle");
     }
 }
@@ -104,30 +121,38 @@ fn two_percent_flip_plan() -> FaultPlan {
 /// accumulate poisoned constraints and return a wrong key or a spurious
 /// UNSAT; the resilient loop must quarantine the poison, recover the
 /// exact key, and stay within a bounded query-inflation factor. The SAT
-/// attack and Double DIP run on the same engine and must both heal.
+/// attack and Double DIP run on the same engine and must both heal, on
+/// an acyclic lock and on a cyclic one (CycSAT's no-cycle clauses plus
+/// the cut-edge cone).
 #[test]
 fn flipped_responses_are_quarantined_and_the_exact_key_recovered() {
     let _guard = chaos_lock();
     let original = host(42);
-    let locked = cln_locked(&original);
+    let locks = [
+        cln_locked(&original),
+        fulllock_4x4(&original, WireSelection::Cyclic, 3),
+    ];
+    assert!(topo::is_cyclic(&locks[1].netlist));
 
     let attacks: [&dyn Attack; 2] = [&SatAttackConfig::default(), &DoubleDip::default()];
-    for attack in attacks {
+    for (locked, attack) in locks
+        .iter()
+        .flat_map(|locked| attacks.iter().map(move |&attack| (locked, attack)))
+    {
         // Clean baseline for the inflation bound (empty plan shadows any
         // ambient FULLLOCK_FAILPOINTS row).
         faults::install(FaultPlan::new());
         let clean_oracle = SimOracle::new(&original).expect("oracle");
-        let baseline = attack.run(&locked, &clean_oracle).expect("clean attack");
+        let baseline = attack.run(locked, &clean_oracle).expect("clean attack");
         assert!(baseline.outcome.is_broken(), "{:?}", baseline.outcome);
 
         faults::install(two_percent_flip_plan());
         let noisy_oracle = SimOracle::new(&original).expect("oracle");
-        let report = attack
-            .run(&locked, &noisy_oracle)
-            .expect("resilient attack");
+        let report = attack.run(locked, &noisy_oracle).expect("resilient attack");
         faults::clear();
 
-        let name = attack.name();
+        let cyclic = topo::is_cyclic(&locked.netlist);
+        let name = format!("{} (cyclic: {cyclic})", attack.name());
         let AttackOutcome::KeyRecovered { key, verified } = &report.outcome else {
             panic!(
                 "{name}: the resilient loop must still break the lock, got {:?}",
@@ -138,7 +163,7 @@ fn flipped_responses_are_quarantined_and_the_exact_key_recovered() {
             verified,
             "{name}: the recovered key must pass trusted verification"
         );
-        assert_key_correct(&original, &locked, key);
+        assert_key_correct(&original, locked, key);
         // The healing machinery must have actually fired: suspects were
         // re-queried and at least one poisoned pair was quarantined.
         assert!(

@@ -1,10 +1,12 @@
 //! Property-based tests of the cone-reduced, structure-aware encoders:
 //! the Generic and Structured styles must be equisatisfiable with each
-//! other and with circuit evaluation on arbitrary lockings, and the full
-//! attack must recover equivalent keys whichever encoding path it takes.
+//! other and with circuit evaluation on arbitrary lockings (and with the
+//! full Tseytin copy on cyclic ones), and the full attack must recover
+//! equivalent keys whichever encoding path it takes.
 
 use fulllock_attacks::{
-    Attack, AttackOutcome, CircuitEncoder, DoubleDip, EncodeStyle, SatAttackConfig, SimOracle,
+    encode_locked, Attack, AttackOutcome, CircuitEncoder, DoubleDip, EncodeStyle, SatAttackConfig,
+    SimOracle,
 };
 use fulllock_locking::{
     FullLock, FullLockConfig, Key, LockedCircuit, LockingScheme, LutLock, PlrSpec, Rll,
@@ -64,6 +66,53 @@ fn check_observation_cone(
             style,
             bits
         );
+    }
+    Ok(())
+}
+
+/// Asserts one observation through the cone encoder (in both styles) and
+/// through a full [`encode_locked`] copy with pinned inputs and outputs,
+/// and checks that every given key gets the same verdict from all three.
+/// Cyclic netlists have no evaluation to compare against: a key may
+/// leave a loop floating, which the full copy models as free signals.
+fn check_cone_against_full_copy(
+    locked: &LockedCircuit,
+    inputs: &[bool],
+    outputs: &[bool],
+    keys: &[Vec<bool>],
+) -> Result<(), TestCaseError> {
+    let mut full = Cnf::new();
+    let data: Vec<Var> = inputs.iter().map(|_| full.new_var()).collect();
+    let full_keys: Vec<Var> = locked.key_inputs.iter().map(|_| full.new_var()).collect();
+    let copy = encode_locked(locked, &mut full, &data, &full_keys);
+    for (&v, &b) in data.iter().zip(inputs) {
+        full.add_clause([Lit::with_polarity(v, b)]);
+    }
+    for (&v, &b) in copy.output_vars.iter().zip(outputs) {
+        full.add_clause([Lit::with_polarity(v, b)]);
+    }
+    let mut reference = Solver::from_cnf(&full);
+    for style in [EncodeStyle::Generic, EncodeStyle::Structured] {
+        let enc = CircuitEncoder::new(locked, style).expect("cut order covers cyclic netlists");
+        let mut cnf = Cnf::new();
+        let key_vars: Vec<Var> = locked.key_inputs.iter().map(|_| cnf.new_var()).collect();
+        enc.encode_observation(&mut cnf, inputs, outputs, &key_vars);
+        let mut cone = Solver::from_cnf(&cnf);
+        for bits in keys {
+            let pin = |vars: &[Var]| -> Vec<Lit> {
+                vars.iter()
+                    .zip(bits)
+                    .map(|(&v, &b)| Lit::with_polarity(v, b))
+                    .collect()
+            };
+            prop_assert_eq!(
+                cone.solve(&pin(&key_vars)),
+                reference.solve(&pin(&full_keys)),
+                "style {:?}, key {:?}: cone verdict disagrees with the full copy",
+                style,
+                bits
+            );
+        }
     }
     Ok(())
 }
@@ -183,5 +232,37 @@ proptest! {
             assert_breaks(&original, &locked, &base)?;
             assert_breaks(&original, &locked, &DoubleDip { base })?;
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On cyclic Full-Lock instances the cut-edge cone agrees with the
+    /// full Tseytin copy key by key, in both styles.
+    #[test]
+    fn cyclic_cones_match_the_full_copy(
+        host_seed in any::<u64>(),
+        lock_seed in any::<u64>(),
+        input_bits in any::<u32>(),
+    ) {
+        let original = host(host_seed);
+        let config = FullLockConfig {
+            plrs: vec![PlrSpec::new(4)],
+            selection: WireSelection::Cyclic,
+            twist_probability: 0.5,
+            seed: lock_seed,
+        };
+        let locked = FullLock::new(config).lock(&original).expect("fits");
+        prop_assume!(fulllock_netlist::topo::is_cyclic(&locked.netlist));
+        let inputs: Vec<bool> = (0..original.inputs().len())
+            .map(|i| input_bits >> (i % 32) & 1 == 1)
+            .collect();
+        let outputs = Simulator::new(&original)
+            .expect("acyclic host")
+            .run(&inputs)
+            .expect("sized");
+        let keys = sampled_keys(&locked, 48, lock_seed ^ 0x5A5A);
+        check_cone_against_full_copy(&locked, &inputs, &outputs, &keys)?;
     }
 }

@@ -4,6 +4,8 @@
 //! cycles, so every analysis here is defined for general digraphs and the
 //! DAG-only ones report [`NetlistError::Cyclic`].
 
+use std::collections::HashSet;
+
 use crate::{Netlist, NetlistError, Result, SignalId};
 
 /// Computes a topological order of all signals (fan-ins before fan-outs).
@@ -28,17 +30,38 @@ use crate::{Netlist, NetlistError, Result, SignalId};
 /// # }
 /// ```
 pub fn topo_order(netlist: &Netlist) -> Result<Vec<SignalId>> {
-    // Kahn's algorithm over fan-in counts.
+    topo_order_cut(netlist, &[])
+}
+
+/// Computes a topological order of all signals over the fan-in edges that
+/// remain once the given `(gate, fan-in slot)` edges are cut. Cutting the
+/// [`feedback_edges`] of a cyclic netlist leaves a DAG, so this is the
+/// walk order of every cycle-aware analysis. With nothing cut it is
+/// [`topo_order`].
+///
+/// The order is deterministic: Kahn's algorithm with a ready stack seeded
+/// in signal order, popping last-in first, and releasing fan-outs in
+/// signal-then-slot order.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::Cyclic`] if a cycle survives the cut; the
+/// error names one signal on it.
+pub fn topo_order_cut(netlist: &Netlist, cut: &[(SignalId, usize)]) -> Result<Vec<SignalId>> {
     let n = netlist.len();
+    let cut: HashSet<(SignalId, usize)> = cut.iter().copied().collect();
+    let is_cut = |edge: (SignalId, usize)| !cut.is_empty() && cut.contains(&edge);
     let mut indegree = vec![0usize; n];
+    let mut fanouts: Vec<Vec<SignalId>> = vec![Vec::new(); n];
     for s in netlist.signals() {
-        for &f in netlist.node(s).fanins() {
+        for (slot, &f) in netlist.node(s).fanins().iter().enumerate() {
             // Self-loops (deferred gates never wired) count like any edge.
-            let _ = f;
-            indegree[s.index()] += 1;
+            if !is_cut((s, slot)) {
+                indegree[s.index()] += 1;
+                fanouts[f.index()].push(s);
+            }
         }
     }
-    let fanouts = netlist.fanouts();
     let mut ready: Vec<SignalId> = netlist
         .signals()
         .filter(|s| indegree[s.index()] == 0)
@@ -342,6 +365,32 @@ mod tests {
             cut.set_fanin(gate, slot, dummy).unwrap();
         }
         assert!(!is_cyclic(&cut));
+    }
+
+    #[test]
+    fn cutting_the_feedback_edges_orders_a_cyclic_netlist() {
+        let nl = ring();
+        let fb = feedback_edges(&nl);
+        let order = topo_order_cut(&nl, &fb).unwrap();
+        assert_eq!(order.len(), nl.len());
+        let mut pos = vec![0; nl.len()];
+        for (i, s) in order.iter().enumerate() {
+            pos[s.index()] = i;
+        }
+        for s in nl.signals() {
+            for (slot, f) in nl.node(s).fanins().iter().enumerate() {
+                if !fb.contains(&(s, slot)) {
+                    assert!(pos[f.index()] < pos[s.index()]);
+                }
+            }
+        }
+        // Nothing cut is the plain order.
+        let dag = chain(4);
+        assert_eq!(
+            topo_order_cut(&dag, &[]).unwrap(),
+            topo_order(&dag).unwrap()
+        );
+        assert!(topo_order_cut(&nl, &[]).is_err());
     }
 
     #[test]
