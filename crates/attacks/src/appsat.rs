@@ -12,7 +12,6 @@
 use std::time::Duration;
 
 use fulllock_locking::{Key, LockedCircuit};
-use fulllock_netlist::topo;
 use fulllock_sat::cdcl::SolverStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,6 +95,7 @@ fn drive_appsat(
 ) -> Result<AppSatReport> {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut best: Option<(Key, f64)> = None;
+    let cyclic = engine.is_cyclic();
 
     loop {
         // A settlement probe runs before the first DIP too: point-function
@@ -103,7 +103,7 @@ fn drive_appsat(
         if engine.iterations().is_multiple_of(config.probe_interval) {
             if let Some(key) = engine.extract_key()? {
                 let (error, mismatches) =
-                    probe_error(locked, oracle, &key, config.probe_samples, &mut rng);
+                    probe_error(locked, cyclic, oracle, &key, config.probe_samples, &mut rng);
                 // AppSAT reinforcement: failed probes become constraints.
                 let reinforced = !mismatches.is_empty();
                 for (x, y) in mismatches {
@@ -136,7 +136,9 @@ fn drive_appsat(
             Step::NoMoreDips => {
                 let key = engine.extract_key()?;
                 let (error, _) = match &key {
-                    Some(k) => probe_error(locked, oracle, k, config.probe_samples, &mut rng),
+                    Some(k) => {
+                        probe_error(locked, cyclic, oracle, k, config.probe_samples, &mut rng)
+                    }
                     None => (1.0, Vec::new()),
                 };
                 return Ok(AppSatReport {
@@ -270,16 +272,17 @@ fn envelope(
 
 /// Measures a key's error rate on random patterns; returns the rate and
 /// the mismatching (input, oracle-output) pairs for reinforcement.
+/// `cyclic` is the engine's flag for `locked` (see [`key_matches`]).
 #[allow(clippy::type_complexity)]
 fn probe_error(
     locked: &LockedCircuit,
+    cyclic: bool,
     oracle: &dyn Oracle,
     key: &Key,
     samples: usize,
     rng: &mut StdRng,
 ) -> (f64, Vec<(Vec<bool>, Vec<bool>)>) {
     let width = locked.data_inputs.len();
-    let cyclic = topo::is_cyclic(&locked.netlist);
     let mut wrong = 0usize;
     let mut mismatches = Vec::new();
     for _ in 0..samples {

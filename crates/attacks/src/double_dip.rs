@@ -209,9 +209,9 @@ mod tests {
 
     #[test]
     fn breaks_cyclic_fulllock_with_a_settling_key() {
-        // Cyclic insertion takes the four-copy full-copy + CycSAT path:
-        // the recovered key must open every loop (all outputs settle) and
-        // match the oracle.
+        // Cyclic insertion takes the cut-edge cone + CycSAT no-cycle
+        // clause path: the recovered key must open every loop (all
+        // outputs settle) and match the oracle.
         let original = generate(RandomCircuitConfig {
             inputs: 8,
             outputs: 5,

@@ -463,6 +463,12 @@ impl<'a> SatAttack<'a> {
         self.phase_dips.iter().sum()
     }
 
+    /// Whether the locked netlist has a combinational cycle (computed
+    /// once, when the engine is built).
+    pub(crate) fn is_cyclic(&self) -> bool {
+        self.cyclic
+    }
+
     /// Completed DIP iterations per phase of the miter shape.
     pub(crate) fn phase_iterations(&self) -> &[u64] {
         &self.phase_dips

@@ -26,7 +26,16 @@
 //! The [`service`] module lifts the same machinery into a long-running
 //! daemon (`fulllock serve`): jobs arrive over a socket instead of a
 //! plan file, land in a crash-safe sharded queue, and are billed to
-//! per-tenant quotas.
+//! per-tenant quotas. The [`sweep`] module runs the hardness atlas on a
+//! fleet of worker processes that share work through lease files.
+//!
+//! All three spawn and supervise their children through one
+//! crate-private child runner: it starts the process with its log
+//! files, samples peak RSS, and owns the SIGTERM → grace → SIGKILL
+//! escalation. Each caller decides only *when* a child must stop — the
+//! campaign at the job's deadline; `serve` on cancel, drain, or
+//! deadline; the sweep never (it kills leftover workers outright after
+//! its shutdown grace).
 //!
 //! # Example
 //!
@@ -48,6 +57,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+mod child;
 pub mod error;
 pub mod json;
 pub mod manifest;
@@ -64,7 +74,7 @@ pub use plan::{
     ambient_fingerprint, current_ambient_fingerprint, CampaignPlan, JobSpec, PAPER_BINS,
     PLAN_VERSION,
 };
-pub use retry::{Clock, RetryPolicy, SystemClock};
+pub use retry::RetryPolicy;
 pub use supervisor::{run_campaign, CampaignOutcome, SupervisorConfig};
 pub use sweep::{run_sweep, SweepConfig, SweepGrid, SweepOutcome, SweepPlan};
 

@@ -12,8 +12,10 @@
 //! previous `succeeded` entry and re-runs it.
 
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use crate::json::Json;
+use crate::retry::RetryPolicy;
 use crate::{HarnessError, Result};
 
 /// Version tag written into every plan file; loading any other version
@@ -95,6 +97,21 @@ impl JobSpec {
     pub fn max_attempts(mut self, attempts: u32) -> JobSpec {
         self.max_attempts = Some(attempts);
         self
+    }
+
+    /// The job's wall-clock budget: its own `timeout_secs`, else `default`.
+    pub(crate) fn timeout(&self, default: Duration) -> Duration {
+        self.timeout_secs
+            .map(Duration::from_secs_f64)
+            .unwrap_or(default)
+    }
+
+    /// `policy` with this job's `max_attempts` override applied.
+    pub(crate) fn retry_policy(&self, mut policy: RetryPolicy) -> RetryPolicy {
+        if let Some(n) = self.max_attempts {
+            policy.max_attempts = n;
+        }
+        policy
     }
 
     /// [`config_hash`](JobSpec::config_hash) combined with the ambient

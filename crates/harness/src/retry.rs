@@ -1,49 +1,6 @@
-//! Retry policy (bounded attempts, exponential backoff) and the clock
-//! abstraction that makes the schedule unit-testable.
+//! Retry policy: bounded attempts with exponential backoff.
 
-use std::time::{Duration, Instant};
-
-/// A monotonic clock the supervisor schedules against.
-///
-/// Production uses [`SystemClock`]; tests substitute a mock that advances
-/// manually, so backoff schedules are asserted without sleeping.
-pub trait Clock {
-    /// Monotonic time elapsed since the clock's origin.
-    fn now(&self) -> Duration;
-    /// Blocks the caller for (up to) `d`.
-    fn sleep(&self, d: Duration);
-}
-
-/// Wall-clock [`Clock`] anchored at construction time.
-#[derive(Debug)]
-pub struct SystemClock {
-    origin: Instant,
-}
-
-impl SystemClock {
-    /// A clock whose origin is now.
-    pub fn new() -> SystemClock {
-        SystemClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for SystemClock {
-    fn default() -> SystemClock {
-        SystemClock::new()
-    }
-}
-
-impl Clock for SystemClock {
-    fn now(&self) -> Duration {
-        self.origin.elapsed()
-    }
-
-    fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
-}
+use std::time::Duration;
 
 /// Bounded retries with exponential backoff.
 ///
@@ -99,38 +56,7 @@ impl RetryPolicy {
 }
 
 #[cfg(test)]
-pub(crate) mod mock {
-    use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Deterministic [`Clock`] for schedule tests: `sleep` advances the
-    /// clock instead of blocking.
-    #[derive(Debug, Default)]
-    pub struct MockClock {
-        now_micros: AtomicU64,
-    }
-
-    impl MockClock {
-        pub fn advance(&self, d: Duration) {
-            self.now_micros
-                .fetch_add(d.as_micros() as u64, Ordering::SeqCst);
-        }
-    }
-
-    impl Clock for MockClock {
-        fn now(&self) -> Duration {
-            Duration::from_micros(self.now_micros.load(Ordering::SeqCst))
-        }
-
-        fn sleep(&self, d: Duration) {
-            self.advance(d);
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::mock::MockClock;
     use super::*;
 
     #[test]
@@ -160,31 +86,5 @@ mod tests {
     #[test]
     fn zero_failures_is_not_a_retry() {
         assert_eq!(RetryPolicy::default().delay_after(0), None);
-    }
-
-    /// Drive a retry schedule against a mocked clock, the way the
-    /// supervisor does: a failed attempt at time `t` makes the job
-    /// eligible again at `t + delay_after(n)`.
-    #[test]
-    fn schedule_against_mock_clock() {
-        let clock = MockClock::default();
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_delay: Duration::from_secs(1),
-            multiplier: 3.0,
-            max_delay: Duration::from_secs(60),
-        };
-        // First failure at t=10s -> eligible at 11s.
-        clock.advance(Duration::from_secs(10));
-        let eligible1 = clock.now() + policy.delay_after(1).expect("one retry left");
-        assert_eq!(eligible1, Duration::from_secs(11));
-        assert!(clock.now() < eligible1, "not yet eligible");
-        clock.sleep(eligible1 - clock.now());
-        assert!(clock.now() >= eligible1, "sleep reaches eligibility");
-        // Second failure immediately -> eligible 3s later.
-        let eligible2 = clock.now() + policy.delay_after(2).expect("second retry");
-        assert_eq!(eligible2, Duration::from_secs(14));
-        // Third failure exhausts the budget.
-        assert_eq!(policy.delay_after(3), None);
     }
 }

@@ -5,9 +5,10 @@
 //! JSON — see [`super::protocol`]) and hands each to a short-lived
 //! handler thread; a bounded pool of worker threads pulls pending jobs
 //! off the [`super::queue::ShardedQueue`] in FIFO order and runs each as
-//! a supervised child process, mirroring the campaign supervisor's
-//! machinery: per-job deadline, SIGTERM → grace → SIGKILL escalation,
-//! retry with backoff.
+//! a supervised child process through the crate's child runner, the same
+//! one the campaign supervisor uses. A worker asks its child to stop
+//! (SIGTERM → grace → SIGKILL) on cancel, drain, or the job's deadline;
+//! failed attempts retry with backoff.
 //!
 //! ## Tenancy
 //!
@@ -76,7 +77,7 @@ use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::Stdio;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -84,6 +85,7 @@ use std::time::{Duration, Instant};
 use fulllock_sat::faults::{self, FaultAction};
 use fulllock_sat::{QuotaSpec, TenantQuota};
 
+use crate::child;
 use crate::retry::RetryPolicy;
 use crate::service::protocol::{self, parse_request, ProtocolError, Request, PROTOCOL_VERSION};
 use crate::service::queue::{JobState, ServiceJob, ShardedQueue};
@@ -1219,33 +1221,28 @@ fn run_attempt(shared: &Shared, index: usize, id: &str) -> AttemptEnd {
 
     let stdout_log = job_dir.join(format!("attempt{attempt}.stdout.log"));
     let stderr_log = job_dir.join(format!("attempt{attempt}.stderr.log"));
-    let open_log =
-        |p: &PathBuf| -> std::io::Result<Stdio> { Ok(Stdio::from(std::fs::File::create(p)?)) };
-    let mut command = Command::new(subst(&spec.program));
-    command
-        .args(spec.args.iter().map(|a| subst(a)))
-        .envs(spec.env.iter().map(|(k, v)| (k.clone(), subst(v))))
-        .stdin(Stdio::null());
-    match (open_log(&stdout_log), open_log(&stderr_log)) {
-        (Ok(out), Ok(err)) => {
-            command.stdout(out).stderr(err);
-        }
-        _ => {
-            command.stdout(Stdio::null()).stderr(Stdio::null());
-        }
-    }
-    let mut child = match command.spawn() {
+    let (stdout, stderr) = match (
+        std::fs::File::create(&stdout_log),
+        std::fs::File::create(&stderr_log),
+    ) {
+        (Ok(out), Ok(err)) => (Stdio::from(out), Stdio::from(err)),
+        _ => (Stdio::null(), Stdio::null()),
+    };
+    let spawned = child::spawn(
+        subst(&spec.program),
+        spec.args.iter().map(|a| subst(a)),
+        spec.env.iter().map(|(k, v)| (k, subst(v))),
+        stdout,
+        stderr,
+    );
+    let mut child = match spawned {
         Ok(c) => c,
         Err(e) => return AttemptEnd::Failure(format!("spawn {:?}: {e}", spec.program)),
     };
 
-    let started = Instant::now();
-    let timeout = spec
-        .timeout_secs
-        .map(Duration::from_secs_f64)
-        .unwrap_or(shared.config.default_timeout);
-    let deadline = started + timeout;
-    let mut term_sent: Option<Instant> = None;
+    let timeout = spec.timeout(shared.config.default_timeout);
+    let deadline = Instant::now() + timeout;
+    // Why the child is being stopped, once a stop has been requested.
     let mut end_after_kill: Option<AttemptEnd> = None;
 
     loop {
@@ -1253,7 +1250,21 @@ fn run_attempt(shared: &Shared, index: usize, id: &str) -> AttemptEnd {
         // fresh so the watchdog only recycles workers wedged *outside*
         // this loop (e.g. a blocking fault injection or harness bug).
         shared.beat(index);
-        match child.try_wait() {
+        // A stop observed now only escalates a still-running child: one
+        // that has already exited keeps its own outcome.
+        let stop_now = if end_after_kill.is_some() {
+            None
+        } else if lock(&shared.cancels).contains(id) {
+            Some(AttemptEnd::Canceled)
+        } else if shared.draining.load(Ordering::SeqCst) {
+            Some(AttemptEnd::Interrupted)
+        } else if Instant::now() >= deadline {
+            Some(AttemptEnd::Timeout(timeout.as_secs_f64()))
+        } else {
+            None
+        };
+        let stopping = end_after_kill.is_some() || stop_now.is_some();
+        match child.poll(stopping.then_some(shared.config.grace)) {
             Ok(Some(status)) => {
                 if let Some(end) = end_after_kill {
                     return end;
@@ -1261,7 +1272,7 @@ fn run_attempt(shared: &Shared, index: usize, id: &str) -> AttemptEnd {
                 if status.success() {
                     return AttemptEnd::Success;
                 }
-                let detail = match crate::supervisor::exit_signal(Some(status)) {
+                let detail = match child::exit_signal(Some(status)) {
                     Some(sig) => format!("killed by signal {sig}"),
                     None => format!("exit status {}", status.code().unwrap_or(-1)),
                 };
@@ -1269,38 +1280,11 @@ fn run_attempt(shared: &Shared, index: usize, id: &str) -> AttemptEnd {
             }
             Ok(None) => {}
             Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
+                child.kill();
                 return AttemptEnd::Failure(format!("wait: {e}"));
             }
         }
-
-        let canceled = lock(&shared.cancels).contains(id);
-        let draining = shared.draining.load(Ordering::SeqCst);
-        let now = Instant::now();
-        let over_deadline = now >= deadline;
-
-        if (canceled || draining || over_deadline) && end_after_kill.is_none() {
-            end_after_kill = Some(if canceled {
-                AttemptEnd::Canceled
-            } else if draining {
-                AttemptEnd::Interrupted
-            } else {
-                AttemptEnd::Timeout(timeout.as_secs_f64())
-            });
-        }
-        if end_after_kill.is_some() {
-            match term_sent {
-                None => {
-                    crate::supervisor::send_sigterm(&mut child);
-                    term_sent = Some(now);
-                }
-                Some(at) if now.duration_since(at) >= shared.config.grace => {
-                    let _ = child.kill();
-                }
-                Some(_) => {}
-            }
-        }
+        end_after_kill = end_after_kill.or(stop_now);
         std::thread::sleep(shared.config.poll_interval);
     }
 }
@@ -1349,11 +1333,11 @@ fn settle_attempt(shared: &Shared, id: &str, tenant: &str, end: AttemptEnd, elap
                 _ => unreachable!("outer match covers only these two"),
             };
             job.last_error = Some(detail);
-            let mut policy = shared.config.retry;
-            if let Some(n) = job.spec.max_attempts {
-                policy.max_attempts = n;
-            }
-            match policy.delay_after(job.attempts) {
+            match job
+                .spec
+                .retry_policy(shared.config.retry)
+                .delay_after(job.attempts)
+            {
                 Some(delay) => {
                     job.state = JobState::Pending;
                     lock(&shared.backoff).insert(id.to_string(), Instant::now() + delay);

@@ -10,8 +10,8 @@
 //! its budget is recorded as `failed`/`timed_out` and the campaign moves
 //! on; one bad experiment no longer aborts a multi-hour sweep.
 //!
-//! All scheduling reads a [`Clock`], so retry/backoff logic is testable
-//! against a mocked clock; production uses [`SystemClock`]. Child
+//! Children run through the crate's one child runner; the supervisor
+//! asks it to stop a child once that job's deadline has passed. Child
 //! stdout/stderr go to per-attempt files under `<out_dir>/logs/`, and
 //! every state transition atomically rewrites
 //! `<out_dir>/campaign.json` (see [`crate::manifest`]) so a killed
@@ -20,12 +20,13 @@
 use std::collections::VecDeque;
 use std::fs::File;
 use std::path::PathBuf;
-use std::process::{Child, Command, ExitStatus, Stdio};
-use std::time::Duration;
+use std::process::{ExitStatus, Stdio};
+use std::time::{Duration, Instant};
 
+use crate::child::{self, LiveChild};
 use crate::manifest::{CampaignManifest, JobRecord, JobStatus};
 use crate::plan::CampaignPlan;
-use crate::retry::{Clock, RetryPolicy, SystemClock};
+use crate::retry::RetryPolicy;
 use crate::{HarnessError, Result};
 
 /// Supervisor knobs. The defaults suit the paper sweep on a laptop.
@@ -116,19 +117,17 @@ impl CampaignOutcome {
 struct QueuedRun {
     idx: usize,
     attempt: u32,
-    eligible_at: Duration,
+    eligible_at: Instant,
 }
 
 /// A live child process under supervision.
 struct RunningJob {
     idx: usize,
     attempt: u32,
-    child: Child,
-    started: Duration,
-    deadline: Duration,
-    term_sent: Option<Duration>,
+    child: LiveChild,
+    started: Instant,
+    deadline: Instant,
     timed_out: bool,
-    peak_rss_kb: Option<u64>,
 }
 
 /// Runs the whole plan under the wall clock. See the module docs for
@@ -141,15 +140,6 @@ struct RunningJob {
 /// are recorded in the manifest and reflected in the
 /// [`CampaignOutcome`], not raised.
 pub fn run_campaign(plan: &CampaignPlan, config: &SupervisorConfig) -> Result<CampaignOutcome> {
-    run_campaign_with_clock(plan, config, &SystemClock::new())
-}
-
-/// [`run_campaign`] against an explicit [`Clock`] (tests inject a mock).
-pub fn run_campaign_with_clock(
-    plan: &CampaignPlan,
-    config: &SupervisorConfig,
-    clock: &dyn Clock,
-) -> Result<CampaignOutcome> {
     plan.validate()?;
     let logs_dir = config.out_dir.join("logs");
     std::fs::create_dir_all(&logs_dir).map_err(|e| HarnessError::Io {
@@ -168,6 +158,7 @@ pub fn run_campaign_with_clock(
         .ambient_hash
         .unwrap_or_else(crate::plan::current_ambient_fingerprint);
     let mut queue: VecDeque<QueuedRun> = VecDeque::new();
+    let start = Instant::now();
     for (idx, job) in plan.jobs.iter().enumerate() {
         let hash = job.config_hash_with(ambient);
         let prior = manifest.job(&job.id);
@@ -191,7 +182,7 @@ pub fn run_campaign_with_clock(
             queue.push_back(QueuedRun {
                 idx,
                 attempt: 1,
-                eligible_at: Duration::ZERO,
+                eligible_at: start,
             });
         }
     }
@@ -200,71 +191,37 @@ pub fn run_campaign_with_clock(
     let parallelism = config.parallelism.max(1);
     let mut running: Vec<RunningJob> = Vec::new();
     while !queue.is_empty() || !running.is_empty() {
-        let now = clock.now();
+        let now = Instant::now();
 
-        // Reap finished children, sample RSS, enforce deadlines. RSS is
-        // sampled *before* `try_wait`: reaping collects the zombie and
-        // tears down `/proc/<pid>`, so a sample after a successful wait
-        // always misses. Together with the spawn-time sample in
-        // `start_attempt`, this keeps short-lived jobs from racing the
-        // poll and recording no peak at all.
+        // Reap finished children and enforce deadlines: past its
+        // deadline a job is asked to stop (SIGTERM, then SIGKILL after
+        // the grace period).
         let mut i = 0;
         while i < running.len() {
-            if let Some(rss) = sample_rss_kb(running[i].child.id()) {
-                let slot = &mut running[i];
-                slot.peak_rss_kb = Some(slot.peak_rss_kb.unwrap_or(0).max(rss));
-            }
-            match running[i].child.try_wait() {
-                Ok(Some(status)) => {
-                    let slot = running.swap_remove(i);
-                    finish_attempt(
-                        plan,
-                        config,
-                        clock,
-                        &mut manifest,
-                        &manifest_path,
-                        &mut queue,
-                        slot,
-                        Some(status),
-                        None,
-                    )?;
-                }
+            let slot = &mut running[i];
+            let overdue = now >= slot.deadline;
+            let end = match slot.child.poll(overdue.then_some(config.grace)) {
                 Ok(None) => {
-                    let slot = &mut running[i];
-                    if now >= slot.deadline {
-                        slot.timed_out = true;
-                        match slot.term_sent {
-                            None => {
-                                send_sigterm(&mut slot.child);
-                                slot.term_sent = Some(now);
-                            }
-                            Some(at) if now >= at + config.grace => {
-                                // The child ignored SIGTERM: escalate.
-                                let _ = slot.child.kill();
-                            }
-                            Some(_) => {}
-                        }
-                    }
+                    slot.timed_out |= overdue;
                     i += 1;
+                    continue;
                 }
+                Ok(Some(status)) => Ok(status),
                 Err(e) => {
-                    let mut slot = running.swap_remove(i);
-                    let _ = slot.child.kill();
-                    let _ = slot.child.wait();
-                    let reason = format!("wait failed: {e}");
-                    finish_attempt(
-                        plan,
-                        config,
-                        clock,
-                        &mut manifest,
-                        &manifest_path,
-                        &mut queue,
-                        slot,
-                        None,
-                        Some(reason),
-                    )?;
+                    slot.child.kill();
+                    Err(format!("wait failed: {e}"))
                 }
-            }
+            };
+            let slot = running.swap_remove(i);
+            finish_attempt(
+                plan,
+                config,
+                &mut manifest,
+                &manifest_path,
+                &mut queue,
+                slot,
+                end,
+            )?;
         }
 
         // Fill free slots with eligible queued runs.
@@ -276,7 +233,6 @@ pub fn run_campaign_with_clock(
             start_attempt(
                 plan,
                 config,
-                clock,
                 &mut manifest,
                 &manifest_path,
                 &mut running,
@@ -292,14 +248,14 @@ pub fn run_campaign_with_clock(
             // earliest eligibility.
             queue
                 .iter()
-                .map(|q| q.eligible_at.saturating_sub(now))
+                .map(|q| q.eligible_at.saturating_duration_since(now))
                 .min()
                 .unwrap_or(config.poll_interval)
                 .max(Duration::from_millis(1))
         } else {
             config.poll_interval
         };
-        clock.sleep(sleep);
+        std::thread::sleep(sleep);
     }
 
     manifest.save(&manifest_path)?;
@@ -315,11 +271,9 @@ pub fn run_campaign_with_clock(
 
 /// Spawns one attempt of a queued job, or records a permanent failure if
 /// the program cannot be spawned at all (bad config — never retried).
-#[allow(clippy::too_many_arguments)]
 fn start_attempt(
     plan: &CampaignPlan,
     config: &SupervisorConfig,
-    clock: &dyn Clock,
     manifest: &mut CampaignManifest,
     manifest_path: &std::path::Path,
     running: &mut Vec<RunningJob>,
@@ -338,44 +292,31 @@ fn start_attempt(
     let stdout = open(&stdout_rel)?;
     let stderr = open(&stderr_rel)?;
 
-    let mut cmd = Command::new(&job.program);
-    cmd.args(&job.args)
-        .stdin(Stdio::null())
-        .stdout(Stdio::from(stdout))
-        .stderr(Stdio::from(stderr));
-    for (k, v) in &job.env {
-        cmd.env(k, v);
-    }
-
     let rec = manifest
         .job_mut(&job.id)
         .expect("every plan job was upserted before the loop");
     rec.attempts = queued.attempt;
     rec.stdout_log = Some(stdout_rel);
     rec.stderr_log = Some(stderr_rel);
-    match cmd.spawn() {
+    let spawned = child::spawn(
+        &job.program,
+        &job.args,
+        job.env.iter().map(|(k, v)| (k, v)),
+        Stdio::from(stdout),
+        Stdio::from(stderr),
+    );
+    match spawned {
         Ok(child) => {
             rec.status = JobStatus::Running;
             manifest.push_event(&job.id, queued.attempt, JobStatus::Running.as_str());
-            let now = clock.now();
-            let timeout = job
-                .timeout_secs
-                .map(Duration::from_secs_f64)
-                .unwrap_or(config.default_timeout);
-            // First RSS sample right at spawn: a job that exits within
-            // one poll interval becomes an unreadable zombie before the
-            // reap loop ever sees it alive, and would otherwise record
-            // no peak at all.
-            let peak_rss_kb = sample_rss_kb(child.id());
+            let now = Instant::now();
             running.push(RunningJob {
                 idx: queued.idx,
                 attempt: queued.attempt,
                 child,
                 started: now,
-                deadline: now + timeout,
-                term_sent: None,
+                deadline: now + job.timeout(config.default_timeout),
                 timed_out: false,
-                peak_rss_kb,
             });
         }
         Err(e) => {
@@ -387,31 +328,29 @@ fn start_attempt(
     manifest.save(manifest_path)
 }
 
-/// Records a finished attempt: success, retry with backoff, or final
-/// failure/timeout.
-#[allow(clippy::too_many_arguments)]
+/// Records a finished attempt — its exit status, or why it could not be
+/// waited for: success, retry with backoff, or final failure/timeout.
 fn finish_attempt(
     plan: &CampaignPlan,
     config: &SupervisorConfig,
-    clock: &dyn Clock,
     manifest: &mut CampaignManifest,
     manifest_path: &std::path::Path,
     queue: &mut VecDeque<QueuedRun>,
     slot: RunningJob,
-    status: Option<ExitStatus>,
-    wait_error: Option<String>,
+    end: std::result::Result<ExitStatus, String>,
 ) -> Result<()> {
     let job = &plan.jobs[slot.idx];
-    let now = clock.now();
+    let now = Instant::now();
     let rec = manifest
         .job_mut(&job.id)
         .expect("every plan job was upserted before the loop");
-    rec.duration_secs += now.saturating_sub(slot.started).as_secs_f64();
-    if let Some(rss) = slot.peak_rss_kb {
+    rec.duration_secs += now.duration_since(slot.started).as_secs_f64();
+    if let Some(rss) = slot.child.peak_rss_kb() {
         rec.peak_rss_kb = Some(rec.peak_rss_kb.unwrap_or(0).max(rss));
     }
+    let status = end.as_ref().ok().copied();
     rec.exit_code = status.and_then(|s| s.code()).map(i64::from);
-    rec.signal = exit_signal(status);
+    rec.signal = child::exit_signal(status);
 
     let succeeded = !slot.timed_out && status.is_some_and(|s| s.success());
     if succeeded {
@@ -423,7 +362,7 @@ fn finish_attempt(
 
     let reason = if slot.timed_out {
         "wall-clock budget exceeded".to_string()
-    } else if let Some(message) = wait_error {
+    } else if let Err(message) = end {
         message
     } else {
         match (rec.exit_code, rec.signal) {
@@ -436,11 +375,7 @@ fn finish_attempt(
 
     // Transient failure (non-zero exit, signal kill, timeout): retry
     // with exponential backoff while the attempt budget lasts.
-    let mut policy = config.retry;
-    if let Some(n) = job.max_attempts {
-        policy.max_attempts = n;
-    }
-    if let Some(delay) = policy.delay_after(slot.attempt) {
+    if let Some(delay) = job.retry_policy(config.retry).delay_after(slot.attempt) {
         rec.status = JobStatus::Pending;
         manifest.push_event(&job.id, slot.attempt, "retrying");
         queue.push_back(QueuedRun {
@@ -458,55 +393,4 @@ fn finish_attempt(
         manifest.push_event(&job.id, slot.attempt, terminal.as_str());
     }
     manifest.save(manifest_path)
-}
-
-/// Signal number that terminated the child, if any (Unix only).
-#[cfg(unix)]
-pub(crate) fn exit_signal(status: Option<ExitStatus>) -> Option<i64> {
-    use std::os::unix::process::ExitStatusExt as _;
-    status.and_then(|s| s.signal()).map(i64::from)
-}
-
-#[cfg(not(unix))]
-pub(crate) fn exit_signal(_status: Option<ExitStatus>) -> Option<i64> {
-    None
-}
-
-/// Asks the child to terminate gracefully. On Unix this delivers
-/// SIGTERM via the `kill` utility (std exposes only SIGKILL); elsewhere
-/// it goes straight to [`Child::kill`].
-#[cfg(unix)]
-pub(crate) fn send_sigterm(child: &mut Child) {
-    let delivered = Command::new("kill")
-        .arg("-TERM")
-        .arg(child.id().to_string())
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .status()
-        .map(|s| s.success())
-        .unwrap_or(false);
-    if !delivered {
-        // No `kill` utility (or it failed): fall back to a hard kill so
-        // the deadline still holds.
-        let _ = child.kill();
-    }
-}
-
-#[cfg(not(unix))]
-pub(crate) fn send_sigterm(child: &mut Child) {
-    let _ = child.kill();
-}
-
-/// Peak resident set size of a live process in kB (Linux `VmHWM`).
-#[cfg(target_os = "linux")]
-fn sample_rss_kb(pid: u32) -> Option<u64> {
-    let text = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
-    let line = text.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
-    line.trim().trim_end_matches("kB").trim().parse().ok()
-}
-
-#[cfg(not(target_os = "linux"))]
-fn sample_rss_kb(_pid: u32) -> Option<u64> {
-    None
 }

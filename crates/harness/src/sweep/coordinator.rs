@@ -25,9 +25,10 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::Stdio;
 use std::time::{Duration, Instant};
 
+use crate::child::{self, LiveChild};
 use crate::sweep::aggregate::{aggregate, write_columns, SweepAggregates};
 use crate::sweep::grid::SweepPlan;
 use crate::sweep::lease::LeaseDir;
@@ -183,7 +184,7 @@ pub fn reconcile_resume(dir: &Path, plan: &SweepPlan) -> Result<ResumeReport> {
 }
 
 struct Fleet {
-    children: Vec<(usize, Child)>,
+    children: Vec<(usize, LiveChild)>,
     next_index: usize,
     respawns: usize,
 }
@@ -208,28 +209,29 @@ impl Fleet {
         let log_err = log
             .try_clone()
             .map_err(|e| io_err(&log_path, "clone worker log", e))?;
-        let mut command = Command::new(&config.worker_program);
-        command
-            .args(&config.worker_args_prefix)
-            .args(worker_args.to_args())
-            .stdin(Stdio::null())
-            .stdout(Stdio::from(log))
-            .stderr(Stdio::from(log_err));
-        for (key, value) in &config.worker_env {
-            command.env(key, value);
-        }
-        let child = command
-            .spawn()
-            .map_err(|e| io_err(&config.worker_program, "spawn worker", e))?;
+        let child = child::spawn(
+            &config.worker_program,
+            config
+                .worker_args_prefix
+                .iter()
+                .cloned()
+                .chain(worker_args.to_args()),
+            config.worker_env.iter().map(|(k, v)| (k, v)),
+            Stdio::from(log),
+            Stdio::from(log_err),
+        )
+        .map_err(|e| io_err(&config.worker_program, "spawn worker", e))?;
         self.children.push((index, child));
         Ok(())
     }
 
-    /// Reaps exited children; returns how many died abnormally.
+    /// Reaps exited children; returns how many died abnormally. Workers
+    /// are never asked to stop here, and one whose status cannot be read
+    /// counts as alive.
     fn reap(&mut self) -> usize {
         let mut casualties = 0;
         self.children
-            .retain_mut(|(index, child)| match child.try_wait() {
+            .retain_mut(|(index, child)| match child.poll(None) {
                 Ok(Some(status)) => {
                     if !status.success() {
                         eprintln!("sweep: worker w{index} died: {status}");
@@ -237,20 +239,15 @@ impl Fleet {
                     }
                     false
                 }
-                Ok(None) => true,
-                Err(_) => true,
+                Ok(None) | Err(_) => true,
             });
         casualties
     }
 
     fn kill_all(&mut self) {
-        for (_, child) in &mut self.children {
-            let _ = child.kill();
+        for (_, mut child) in self.children.drain(..) {
+            child.kill();
         }
-        for (_, child) in &mut self.children {
-            let _ = child.wait();
-        }
-        self.children.clear();
     }
 }
 

@@ -316,6 +316,43 @@ fn failed_jobs_retry_then_fail_with_the_exit_detail() {
 }
 
 #[test]
+fn overrunning_job_is_escalated_past_ignored_sigterm_and_fails_timed_out() {
+    let mut server = TestServer::start("timeout", |_| {});
+    let client = server.client();
+
+    // The child ignores SIGTERM, so only the SIGKILL after the 200 ms
+    // grace can end it well before its own 30 s run time.
+    let started = std::time::Instant::now();
+    client
+        .submit(
+            "t",
+            sh_job("stubborn", "trap '' TERM; exec sleep 30")
+                .timeout_secs(0.5)
+                .max_attempts(1),
+        )
+        .expect("submit");
+    let done = client
+        .wait("stubborn", Duration::from_secs(20))
+        .expect("wait");
+    let elapsed = started.elapsed();
+    assert_eq!(done.job_state().map(|s| s.as_str()), Some("failed"));
+    let fulllock_harness::service::ServiceReply::Ok(json) = &done else {
+        panic!("{done:?}")
+    };
+    let job = json.get("job").expect("job");
+    assert!(
+        job.get("last_error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.starts_with("timed out after")),
+        "{done:?}"
+    );
+    assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
+
+    let summary = server.stop();
+    assert_eq!(summary.failed, 1);
+}
+
+#[test]
 fn overload_sheds_submissions_with_a_typed_error() {
     let mut server = TestServer::start("overload", |config| {
         config.workers = 1;
